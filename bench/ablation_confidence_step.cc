@@ -34,7 +34,7 @@ main(int argc, char **argv)
 
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
-        ApproxMemory::Config fixed = machineBaseLva(opts);
+        ApproxMemory::Config fixed = sweepMachine(opts).phase1Lva();
         fixed.editApprox([](ApproximatorConfig &a) {
             a.confidenceForInts = true;
             a.confidenceWindow = 0.10;

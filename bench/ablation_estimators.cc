@@ -38,7 +38,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 i = 0; i < 3; ++i) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.editApprox(
                 [&](ApproximatorConfig &a) { a.estimator = fns[i]; });
             points.push_back(

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 entries : sizes) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.editApprox(
                 [&](ApproximatorConfig &a) { a.lhbEntries = entries; });
             points.push_back(

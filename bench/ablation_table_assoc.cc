@@ -35,7 +35,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 w : ways) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             // GHB 2 makes contexts value-dependent, where aliasing
             // actually occurs (PC-only contexts are too few to alias).
             cfg.editApprox([&](ApproximatorConfig &a) {

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 entries : sizes) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.editApprox([&](ApproximatorConfig &a) {
                 a.tableEntries = entries;
             });

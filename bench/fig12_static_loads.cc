@@ -36,7 +36,7 @@ main(int argc, char **argv)
         sweepOptionsFromCli("fig12_static_loads", argc, argv);
     // A machine only changes the thread count here: the census is
     // static, but sites are per-thread-partition in some kernels.
-    params.threads = machineBaseLva(opts).threads;
+    params.threads = sweepMachine(opts).cores;
     SweepRunner runner;
     const auto outcome = runner.mapChecked(
         names.size(),

@@ -33,7 +33,7 @@ main(int argc, char **argv)
 
     std::vector<SweepPoint> points;
     for (u32 drop : drops) {
-        ApproxMemory::Config cfg = machineBaseLva(opts);
+        ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
         cfg.editApprox([&](ApproximatorConfig &a) {
             a.ghbEntries = 2;
             a.confidenceDisabled = true;

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     };
     const SweepOptions opts =
         sweepOptionsFromCli("fig1_bodytrack_output", argc, argv);
-    const ApproxMemory::Config lva_cfg = machineBaseLva(opts);
+    const ApproxMemory::Config lva_cfg = sweepMachine(opts).phase1Lva();
     params.threads = lva_cfg.threads;
     SweepRunner runner;
     auto outcome = runner.mapChecked(

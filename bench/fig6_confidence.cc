@@ -49,7 +49,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (const Window &w : windows) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             if (w.lvp) {
                 cfg.mode = MemMode::Lvp;
             } else {

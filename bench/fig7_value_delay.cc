@@ -34,7 +34,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 d : delays) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.editApprox(
                 [&](ApproximatorConfig &a) { a.valueDelay = d; });
             points.push_back(

@@ -41,7 +41,7 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
         for (u32 i = 0; i < 4; ++i) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.mode = MemMode::Prefetch;
             cfg.prefetch.degree = degrees[i];
             points.push_back(
@@ -49,7 +49,7 @@ main(int argc, char **argv)
                  cfg});
         }
         for (u32 i = 0; i < 4; ++i) {
-            ApproxMemory::Config cfg = machineBaseLva(opts);
+            ApproxMemory::Config cfg = sweepMachine(opts).phase1Lva();
             cfg.editApprox([&](ApproximatorConfig &a) {
                 a.approxDegree = degrees[i];
             });

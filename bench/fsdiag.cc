@@ -75,7 +75,7 @@ main(int argc, char **argv)
         names.size(),
         [&](u64 i) {
             return runFullSystemSweep(names[i], {0, 16}, 1, 0.0,
-                                      opts.machine.get());
+                                      sweepMachine(opts));
         },
         opts, [&names](u64 i) { return names[i]; });
 

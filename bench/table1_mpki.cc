@@ -39,7 +39,7 @@ main(int argc, char **argv)
     const auto &names = allWorkloadNames();
     const SweepOptions opts =
         sweepOptionsFromCli("table1_mpki", argc, argv);
-    const ApproxMemory::Config base = machineBaseLva(opts);
+    const ApproxMemory::Config base = sweepMachine(opts).phase1Lva();
     const ApproxMemory::Config precise =
         Evaluator::preciseBaseFor(base);
     SweepRunner runner(eval);

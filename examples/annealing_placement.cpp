@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "core/approx_memory.hh"
-#include "eval/evaluator.hh"
+#include "sim/machine_config.hh"
 #include "util/table.hh"
 #include "workloads/canneal.hh"
 
@@ -28,7 +28,7 @@ main()
     // Golden: precise annealing.
     CannealWorkload golden(params);
     golden.generate();
-    ApproxMemory golden_mem(Evaluator::preciseConfig());
+    ApproxMemory golden_mem(defaultMachine().phase1Precise());
     golden.run(golden_mem);
     const MemMetrics pm = golden_mem.metrics();
 
@@ -42,8 +42,9 @@ main()
     for (u32 degree : {0u, 4u, 16u}) {
         CannealWorkload w(params);
         w.generate();
-        ApproxMemory::Config cfg = Evaluator::baselineLva();
-        cfg.approx.approxDegree = degree;
+        ApproxMemory::Config cfg = defaultMachine().phase1Lva();
+        cfg.editApprox(
+            [&](ApproximatorConfig &a) { a.approxDegree = degree; });
         ApproxMemory mem(cfg);
         w.run(mem);
         const MemMetrics m = mem.metrics();

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/approx_memory.hh"
-#include "eval/evaluator.hh"
+#include "sim/machine_config.hh"
 #include "workloads/region.hh"
 #include "workloads/workload.hh"
 
@@ -113,13 +113,13 @@ main()
 
     JacobiWorkload golden(params);
     golden.generate();
-    ApproxMemory golden_mem(Evaluator::preciseConfig());
+    ApproxMemory golden_mem(defaultMachine().phase1Precise());
     golden.run(golden_mem);
 
     JacobiWorkload approx(params);
     approx.generate();
-    ApproxMemory::Config cfg = Evaluator::baselineLva();
-    cfg.approx.approxDegree = 8;
+    ApproxMemory::Config cfg = defaultMachine().phase1Lva();
+    cfg.editApprox([](ApproximatorConfig &a) { a.approxDegree = 8; });
     ApproxMemory approx_mem(cfg);
     approx.run(approx_mem);
 

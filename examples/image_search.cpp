@@ -14,7 +14,7 @@
 #include <cstdio>
 
 #include "core/approx_memory.hh"
-#include "eval/evaluator.hh"
+#include "sim/machine_config.hh"
 #include "workloads/ferret.hh"
 
 using namespace lva;
@@ -29,13 +29,13 @@ main()
     // Golden run: exact nearest-neighbour search.
     FerretWorkload golden(params);
     golden.generate();
-    ApproxMemory golden_mem(Evaluator::preciseConfig());
+    ApproxMemory golden_mem(defaultMachine().phase1Precise());
     golden.run(golden_mem);
 
     // Approximate run: the paper's baseline LVA beside each L1.
     FerretWorkload approx(params);
     approx.generate();
-    ApproxMemory approx_mem(Evaluator::baselineLva());
+    ApproxMemory approx_mem(defaultMachine().phase1Lva());
     approx.run(approx_mem);
 
     const MemMetrics pm = golden_mem.metrics();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "util/arena.hh"
 #include "util/random.hh"
 #include "workloads/region.hh"
@@ -74,18 +75,17 @@ main()
     const LoadSiteId site = 0x400; // this load's static PC
 
     // --- Precise run. ---
-    ApproxMemory::Config precise_cfg;
+    ApproxMemory::Config precise_cfg = defaultMachine().phase1Precise();
     precise_cfg.threads = 1;
-    precise_cfg.mode = MemMode::Precise;
     ApproxMemory precise_mem(precise_cfg);
     const double golden = movingAverage(precise_mem, samples, site);
 
     // --- LVA run: paper-baseline approximator, degree 4. ---
-    ApproxMemory::Config lva_cfg;
+    ApproxMemory::Config lva_cfg = defaultMachine().phase1Lva();
     lva_cfg.threads = 1;
-    lva_cfg.mode = MemMode::Lva;
-    lva_cfg.approx = ApproximatorConfig::baseline();
-    lva_cfg.approx.approxDegree = 16; // skip 16 of every 17 fetches
+    lva_cfg.editApprox([](ApproximatorConfig &a) {
+        a.approxDegree = 16; // skip 16 of every 17 fetches
+    });
     ApproxMemory lva_mem(lva_cfg);
     const double approx = movingAverage(lva_mem, samples, site);
 

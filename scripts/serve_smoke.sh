@@ -49,7 +49,7 @@ done
 export LVA_SEEDS=1
 export LVA_SCALE=0.05
 unset LVA_CHECKPOINT LVA_RESUME LVA_FAULT LVA_POINT_TIMEOUT_MS \
-      LVA_RETRIES LVA_TRACE
+      LVA_RETRIES
 
 work="$(mktemp -d)"
 daemon_pid=""

@@ -88,10 +88,7 @@ LoadValueApproximator::LoadValueApproximator(
     : config_(config), ghb_(config.ghbEntries),
       ownedReg_(reg == nullptr ? std::make_unique<StatRegistry>()
                                : nullptr),
-      reg_(reg != nullptr ? reg : ownedReg_.get()),
-      traceApprox_(StatRegistry::joinPath(prefix, "approx")),
-      traceTrain_(StatRegistry::joinPath(prefix, "train")),
-      stats_(*reg_, prefix)
+      stats_(reg != nullptr ? *reg : *ownedReg_, prefix)
 {
     lva_assert(config.tableEntries > 0, "table must have entries");
     lva_assert(config.lhbEntries > 0, "LHB must have entries");
@@ -255,8 +252,6 @@ LoadValueApproximator::onMiss(LoadSiteId pc, const Value &precise)
     resp.approximated = true;
     resp.value = xhat;
     stats_.approximations.inc();
-    if (reg_->tracingEnabled())
-        reg_->trace(traceApprox_, xhat.toReal());
 
     if (degree_[slot].atZero()) {
         // Degree exhausted: fetch the block to train, then rearm.
@@ -326,8 +321,6 @@ void
 LoadValueApproximator::applyTraining(const PendingTrain &train)
 {
     stats_.trainings.inc();
-    if (reg_->tracingEnabled())
-        reg_->trace(traceTrain_, train.actual.toReal());
 
     // X_actual always enters the global history on arrival.
     ghb_.push(train.actual);

@@ -262,9 +262,6 @@ class LoadValueApproximator
     u64 loadCount_ = 0;
     u64 useClock_ = 0;
     std::unique_ptr<StatRegistry> ownedReg_; ///< standalone ctor only
-    StatRegistry *reg_;
-    std::string traceApprox_; ///< precomputed tracer paths
-    std::string traceTrain_;
     ApproximatorStats stats_;
 };
 

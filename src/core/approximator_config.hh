@@ -113,9 +113,6 @@ struct ApproximatorConfig
     static constexpr double infiniteWindow =
         std::numeric_limits<double>::infinity();
 
-    /** The paper's baseline configuration. */
-    static ApproximatorConfig baseline() { return {}; }
-
     /** Approximate storage cost in bytes (paper section VII-A). */
     u64 storageBytes(u32 value_bytes = 8) const;
 };

@@ -110,6 +110,10 @@ readTraces(const std::string &path)
     if (!in)
         lva_fatal("cannot open trace file '%s'", path.c_str());
 
+    in.seekg(0, std::ios::end);
+    const u64 fileBytes = static_cast<u64>(in.tellg());
+    in.seekg(0);
+
     char got[8];
     in.read(got, sizeof(got));
     if (!in || std::memcmp(got, magic, sizeof(magic)) != 0)
@@ -123,6 +127,14 @@ readTraces(const std::string &path)
     std::vector<ThreadTrace> traces(threads);
     for (auto &trace : traces) {
         const u64 count = readPod<u64>(in, path);
+        // The count is untrusted: bound it by the records the rest of
+        // the file can hold before it sizes an allocation.
+        const u64 left = fileBytes - static_cast<u64>(in.tellg());
+        if (count > left / sizeof(PackedEvent))
+            lva_fatal("trace file '%s' claims %llu events but only %llu "
+                      "bytes remain",
+                      path.c_str(), static_cast<unsigned long long>(count),
+                      static_cast<unsigned long long>(left));
         trace.reserve(count);
         for (u64 i = 0; i < count; ++i) {
             const auto rec = readPod<PackedEvent>(in, path);

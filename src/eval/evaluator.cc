@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "sim/machine_config.hh"
 #include "util/env_knob.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -84,28 +85,9 @@ Evaluator::Evaluator(u32 seeds, double scale)
 }
 
 ApproxMemory::Config
-Evaluator::baselineLva()
-{
-    ApproxMemory::Config cfg;
-    cfg.mode = MemMode::Lva;
-    cfg.cache = CacheConfig::pinL1();
-    cfg.approx = ApproximatorConfig::baseline();
-    return cfg;
-}
-
-ApproxMemory::Config
-Evaluator::preciseConfig()
-{
-    ApproxMemory::Config cfg;
-    cfg.mode = MemMode::Precise;
-    cfg.cache = CacheConfig::pinL1();
-    return cfg;
-}
-
-ApproxMemory::Config
 Evaluator::preciseBaseFor(const ApproxMemory::Config &cfg)
 {
-    ApproxMemory::Config precise = preciseConfig();
+    ApproxMemory::Config precise = defaultMachine().phase1Precise();
     precise.threads = cfg.threads;
     precise.cache = cfg.cache;
     return precise;
@@ -115,7 +97,7 @@ namespace {
 
 /**
  * Golden-cache key for one workload under one precise config: the
- * plain workload name for the canonical preciseConfig() geometry (so
+ * plain workload name for the default machine's precise geometry (so
  * every pre-machine key — and every test that asserts on it — stays
  * unchanged), a "@t<threads>.s<size>.a<assoc>.b<block>" variant suffix
  * for any other machine geometry.
@@ -124,7 +106,7 @@ std::string
 goldenKeyName(const std::string &name, const ApproxMemory::Config &precise)
 {
     static const ApproxMemory::Config canonical =
-        Evaluator::preciseConfig();
+        defaultMachine().phase1Precise();
     if (precise.threads == canonical.threads &&
         precise.cache.sizeBytes == canonical.cache.sizeBytes &&
         precise.cache.assoc == canonical.cache.assoc &&
@@ -384,7 +366,7 @@ Evaluator::evaluate(const std::string &name,
 EvalResult
 Evaluator::evaluatePrecise(const std::string &name)
 {
-    return evaluatePrecise(name, preciseConfig());
+    return evaluatePrecise(name, defaultMachine().phase1Precise());
 }
 
 EvalResult

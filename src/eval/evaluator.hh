@@ -156,24 +156,19 @@ class Evaluator
     EvalResult evaluate(const std::string &workload,
                         const ApproxMemory::Config &cfg);
 
-    /** Baseline (precise) metrics for one workload (Table I). */
+    /** Baseline (precise) metrics for one workload (Table I), on the
+     *  default machine's phase1Precise() projection. */
     EvalResult evaluatePrecise(const std::string &workload);
 
     /** evaluatePrecise under an explicit precise (machine) config. */
     EvalResult evaluatePrecise(const std::string &workload,
                                const ApproxMemory::Config &precise);
 
-    /** The paper's baseline LVA configuration as an ApproxMemory config. */
-    static ApproxMemory::Config baselineLva();
-
-    /** A precise (no-mechanism) configuration. */
-    static ApproxMemory::Config preciseConfig();
-
     /**
      * The precise baseline any result under @p cfg is normalized
-     * against: preciseConfig() with the thread count and L1 geometry
-     * of @p cfg (the mechanism never changes the machine a golden
-     * runs on, only what sits beside the L1).
+     * against: defaultMachine().phase1Precise() with the thread count
+     * and L1 geometry of @p cfg (the mechanism never changes the
+     * machine a golden runs on, only what sits beside the L1).
      */
     static ApproxMemory::Config
     preciseBaseFor(const ApproxMemory::Config &cfg);
@@ -220,7 +215,7 @@ class Evaluator
     /**
      * Acquire the memoized precise run of (@p workload, @p seed) under
      * the machine geometry of @p precise. The cache key is the plain
-     * workload name for the canonical preciseConfig() geometry (every
+     * workload name for the default machine's precise geometry (every
      * pre-machine caller) and a "name@t<threads>.s<size>..." variant
      * key otherwise, so goldens of different machines never alias.
      */

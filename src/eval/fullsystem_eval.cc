@@ -1,7 +1,6 @@
 #include "eval/fullsystem_eval.hh"
 
 #include "cpu/trace.hh"
-#include "sim/machine_config.hh"
 #include "util/env_knob.hh"
 #include "util/logging.hh"
 #include "workloads/workload.hh"
@@ -17,13 +16,12 @@ fsScaleFromEnv()
 FsSweep
 runFullSystemSweep(const std::string &workload,
                    const std::vector<u32> &degrees, u64 seed,
-                   double scale, const MachineConfig *machine)
+                   double scale, const MachineConfig &machine)
 {
     WorkloadParams params;
     params.seed = seed;
     params.scale = scale > 0.0 ? scale : fsScaleFromEnv();
-    if (machine != nullptr)
-        params.threads = machine->cores;
+    params.threads = machine.cores;
 
     // Record the precise execution once.
     auto w = makeWorkload(workload, params);
@@ -36,16 +34,11 @@ runFullSystemSweep(const std::string &workload,
     sweep.degrees = degrees;
 
     {
-        FullSystemSim sim(machine != nullptr
-                              ? machine->fullSystem(/*lvaEnabled=*/false)
-                              : FullSystemConfig::baseline());
+        FullSystemSim sim(machine.fullSystem(/*lvaEnabled=*/false));
         sweep.baseline = sim.run(recorder.traces());
     }
     for (u32 d : degrees) {
-        FullSystemSim sim(machine != nullptr
-                              ? machine->fullSystem(/*lvaEnabled=*/true,
-                                                    d)
-                              : FullSystemConfig::lva(d));
+        FullSystemSim sim(machine.fullSystem(/*lvaEnabled=*/true, d));
         sweep.lva.push_back(sim.run(recorder.traces()));
     }
     return sweep;

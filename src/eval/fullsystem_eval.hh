@@ -14,6 +14,7 @@
 
 #include "eval/stat_report.hh"
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 
@@ -93,19 +94,18 @@ struct FsSweep
     }
 };
 
-struct MachineConfig;
-
 /**
- * Record @p workload's trace (precise run, given seed/scale) and
- * replay it under the baseline and under LVA at each degree.
- * @p machine selects the CMP topology (thread count, cache/NoC
- * geometry, per-core approximators); null = the built-in Table II
- * machine, identical to the historical FullSystemConfig defaults.
+ * Record @p workload's trace (precise run, given seed/scale, one
+ * thread per core of @p machine) and replay it under the machine's
+ * precise and LVA-at-each-degree fullSystem() projections. @p machine
+ * selects the CMP topology (thread count, cache/NoC geometry,
+ * per-core approximators).
  */
 FsSweep runFullSystemSweep(const std::string &workload,
                            const std::vector<u32> &degrees,
                            u64 seed = 1, double scale = 0.0,
-                           const MachineConfig *machine = nullptr);
+                           const MachineConfig &machine =
+                               defaultMachine());
 
 /** Scale from LVA_SCALE (1.0 default), as in the phase-1 evaluator. */
 double fsScaleFromEnv();

@@ -300,7 +300,7 @@ ServeStats::snapshot() const
 ApproxMemory::Config
 configFromJson(const JsonValue &cfg)
 {
-    return configFromJson(cfg, Evaluator::baselineLva());
+    return configFromJson(cfg, defaultMachine().phase1Lva());
 }
 
 ApproxMemory::Config
@@ -347,7 +347,7 @@ configFromJson(const JsonValue &cfg, const ApproxMemory::Config &base)
 std::vector<SweepPoint>
 sweepPointsFromJson(const JsonValue &points)
 {
-    return sweepPointsFromJson(points, Evaluator::baselineLva());
+    return sweepPointsFromJson(points, defaultMachine().phase1Lva());
 }
 
 std::vector<SweepPoint>
@@ -489,16 +489,16 @@ namespace {
 
 /**
  * Decode a request's optional "machine" member (an inline
- * lva-machine-v1 object, docs/topology.md) into the phase-1 base
- * config every point starts from; absent = the built-in Table II
- * machine, whose base is exactly Evaluator::baselineLva().
+ * lva-machine-v1 object, docs/topology.md; absent = the built-in
+ * Table II machine) into the phase-1 base config every point starts
+ * from.
  */
 ApproxMemory::Config
 machineBaseFromRequest(const JsonValue &req)
 {
     if (const JsonValue *m = req.find("machine"))
         return machineFromJson(*m).phase1Lva();
-    return Evaluator::baselineLva();
+    return defaultMachine().phase1Lva();
 }
 
 } // namespace

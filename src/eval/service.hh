@@ -171,10 +171,11 @@ class ServeStats
 };
 
 /**
- * Decode a request "config" object into an ApproxMemory::Config.
- * Keys mirror the lva_explore flags (docs/serving.md lists them);
- * unknown keys throw std::runtime_error — a silently-ignored typo
- * would return results for the wrong configuration.
+ * Decode a request "config" object into an ApproxMemory::Config,
+ * starting from defaultMachine().phase1Lva(). Keys mirror the
+ * lva_explore flags (docs/serving.md lists them); unknown keys throw
+ * std::runtime_error — a silently-ignored typo would return results
+ * for the wrong configuration.
  */
 ApproxMemory::Config configFromJson(const JsonValue &cfg);
 

@@ -208,17 +208,6 @@ sweepMachine(const SweepOptions &opts)
     return opts.machine ? *opts.machine : defaultMachine();
 }
 
-ApproxMemory::Config
-machineBaseLva(const SweepOptions &opts)
-{
-    // Without a machine this must stay the exact historical object so
-    // converted drivers keep byte-identical checkpoints and exports
-    // (defaultMachine().phase1Lva() is equal, but equality is a test
-    // pin while this identity is by construction).
-    return opts.machine ? opts.machine->phase1Lva()
-                        : Evaluator::baselineLva();
-}
-
 int
 reportSweepFailures(const std::vector<PointFailure> &failures,
                     std::size_t total)

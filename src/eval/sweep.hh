@@ -35,14 +35,13 @@
 #include <vector>
 
 #include "eval/evaluator.hh"
+#include "sim/machine_config.hh"
 #include "util/checkpoint.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace lva {
-
-struct MachineConfig;
 
 /** One named (workload, configuration) evaluation request. */
 struct SweepPoint
@@ -103,10 +102,10 @@ struct SweepOptions
 
     /**
      * Machine topology the sweep runs on (--machine <file>, else the
-     * LVA_MACHINE path knob); null = the built-in Table II machine,
-     * which is byte-identity-pinned against the historical hardcoded
-     * defaults. Shared, immutable: copying SweepOptions never copies
-     * the parsed config.
+     * LVA_MACHINE path knob); null = defaultMachine() (see
+     * sweepMachine), and the manifest context key then stays that of
+     * a machine-less run. Shared, immutable: copying SweepOptions
+     * never copies the parsed config.
      */
     std::shared_ptr<const MachineConfig> machine;
 };
@@ -156,15 +155,12 @@ SweepOptions resolveSweepOptions(SweepOptions opts);
 SweepOptions sweepOptionsFromCli(const std::string &driver, int argc,
                                  char **argv);
 
-/** The machine a sweep runs on: *opts.machine or defaultMachine(). */
-const MachineConfig &sweepMachine(const SweepOptions &opts);
-
 /**
- * The baseline-LVA phase-1 config of the sweep's machine. With no
- * --machine/LVA_MACHINE this is exactly Evaluator::baselineLva(), so
- * drivers converted to it stay byte-identical by construction.
+ * The machine a sweep runs on: *opts.machine or defaultMachine().
+ * Drivers start every point from one of its projections, e.g.
+ * sweepMachine(opts).phase1Lva().
  */
-ApproxMemory::Config machineBaseLva(const SweepOptions &opts);
+const MachineConfig &sweepMachine(const SweepOptions &opts);
 
 /**
  * Print one warning line per failure and return the driver exit

@@ -36,9 +36,7 @@ Cache::Cache(const CacheConfig &config, StatRegistry *reg,
     : config_(config),
       ownedReg_(reg == nullptr ? std::make_unique<StatRegistry>()
                                : nullptr),
-      reg_(reg != nullptr ? reg : ownedReg_.get()),
-      traceEvict_(StatRegistry::joinPath(prefix, "evict")),
-      stats_(*reg_, prefix)
+      stats_(reg != nullptr ? *reg : *ownedReg_, prefix)
 {
     lva_assert(config.blockBytes > 0 &&
                std::has_single_bit(config.blockBytes),
@@ -137,7 +135,6 @@ Cache::fill(Addr addr, bool is_write)
     if (tags_[victim] != invalidAddr) {
         evicted = tags_[victim];
         stats_.evictions.inc();
-        reg_->trace(traceEvict_, static_cast<double>(evicted));
         if (dirty_[victim])
             stats_.writebacks.inc();
     }

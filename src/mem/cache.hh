@@ -171,8 +171,6 @@ class Cache
     std::vector<u8> dirty_;    ///< dirty flag per way slot
     u64 useClock_ = 0;
     std::unique_ptr<StatRegistry> ownedReg_; ///< standalone ctor only
-    StatRegistry *reg_;
-    std::string traceEvict_; ///< precomputed tracer path
     CacheStats stats_;
 };
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Full-system configuration (paper Table II).
+ * Phase-2 (full-system timing model) configuration: the projection
+ * MachineConfig::fullSystem() makes of a machine description.
  *
- *   4 IA-32 cores, 2 GHz, 4-wide OoO, 32-entry ROB
- *   16 KB 8-way private L1 D-caches, 1-cycle latency, 64 B blocks
- *   512 KB shared distributed L2, 16-way, 6-cycle latency
- *   1 GB main memory, 160-cycle latency
- *   MSI coherence protocol
- *   2x2 mesh, 3-cycle routers
+ * The field values all come from a MachineConfig (src/sim/
+ * machine_config.hh), whose all-defaults object is the paper's
+ * Table II CMP. FullSystemConfig carries no machine defaults of its
+ * own and cannot be default-constructed outside MachineConfig, so
+ * every FullSystemSim is configured through a machine; callers edit
+ * the projection (protocol, heteroNoc, ...) for ablations.
  */
 
 #ifndef LVA_SIM_CONFIG_HH
@@ -24,31 +25,36 @@
 
 namespace lva {
 
-/** Parameters of the 4-core CMP timing model. */
+/** Parameters of the CMP timing model (MachineConfig::fullSystem). */
 struct FullSystemConfig
 {
-    u32 cores = 4;
-    CoreConfig core{};                       ///< 4-wide, 32-entry ROB
-    CacheConfig l1 = CacheConfig::fullSystemL1();
-    u32 l1Latency = 1;
+    u32 cores{};
+    CoreConfig core{};
+    CacheConfig l1{};
+    u32 l1Latency{};
 
-    CacheConfig l2{512 * 1024, 16, 64};      ///< shared, distributed
-    u32 l2Latency = 6;
-    u32 l2Banks = 4;                         ///< one bank per mesh node
-    u32 l2Occupancy = 1;                     ///< bank port busy cycles
+    CacheConfig l2{};                        ///< shared, distributed
+    u32 l2Latency{};
+    u32 l2Banks{};                           ///< one bank per mesh node
+    u32 l2Occupancy{};                       ///< bank port busy cycles
 
     /** Coherence protocol; the paper's system uses MSI (Table II),
      *  MESI is provided as an ablation (silent E->M upgrades). */
-    CoherenceProtocol protocol = CoherenceProtocol::Msi;
+    CoherenceProtocol protocol{};
 
-    u32 memLatency = 160;
-    u32 memOccupancy = 8;                    ///< controller busy cycles
+    u32 memLatency{};
+    u32 memOccupancy{};                      ///< controller busy cycles
 
     MeshConfig mesh{};
     EnergyParams energy{};
 
-    /** Approximation: enabled when lvaEnabled, using approx. */
-    bool lvaEnabled = false;
+    /**
+     * Approximation: enabled when lvaEnabled, using approx. The
+     * machine projection runs it at the requested degree with a value
+     * delay of ~1 load (paper section VI-E observes ~1 in full-system
+     * runs).
+     */
+    bool lvaEnabled{};
     ApproximatorConfig approx{};
 
     /**
@@ -64,7 +70,7 @@ struct FullSystemConfig
      * paths of paper section VI-C. LVA tolerates this because stale
      * training only costs accuracy, never a rollback.
      */
-    u32 backgroundFetchExtraLatency = 0;
+    u32 backgroundFetchExtraLatency{};
 
     /**
      * Heterogeneous NoC (paper section VI-C, citing Mishra et al.):
@@ -74,31 +80,12 @@ struct FullSystemConfig
      * nocFlitHop. Demand traffic keeps the fast plane to itself,
      * which can even help tail latency.
      */
-    bool heteroNoc = false;
-    MeshConfig slowMesh{2, 2, /*routerCycles=*/6, /*flitBytes=*/8};
+    bool heteroNoc{};
+    MeshConfig slowMesh{};
 
-    /** Precise baseline system. */
-    static FullSystemConfig
-    baseline()
-    {
-        return {};
-    }
-
-    /**
-     * LVA system at a given approximation degree. The full-system
-     * value delay is ~1 load (paper section VI-E observes average
-     * value delay of ~1 in full-system runs).
-     */
-    static FullSystemConfig
-    lva(u32 degree)
-    {
-        FullSystemConfig cfg;
-        cfg.lvaEnabled = true;
-        cfg.approx = ApproximatorConfig::baseline();
-        cfg.approx.approxDegree = degree;
-        cfg.approx.valueDelay = 1;
-        return cfg;
-    }
+  private:
+    friend struct MachineConfig;
+    FullSystemConfig() = default;
 };
 
 } // namespace lva

@@ -357,8 +357,8 @@ MachineConfig::fullSystem(bool lvaEnabled, u32 degree) const
     cfg.backgroundFetchExtraLatency = backgroundFetchExtraLatency;
     cfg.lvaEnabled = lvaEnabled;
     if (lvaEnabled) {
-        // Same override FullSystemConfig::lva applies: the requested
-        // degree at a value delay of ~1 load (paper section VI-E).
+        // The requested degree at a value delay of ~1 load (paper
+        // section VI-E).
         cfg.approx = approx;
         cfg.approx.approxDegree = degree;
         cfg.approx.valueDelay = 1;
@@ -374,7 +374,7 @@ MachineConfig::fullSystem(bool lvaEnabled, u32 degree) const
 const MachineConfig &
 defaultMachine()
 {
-    static const MachineConfig machine = MachineConfig::table2();
+    static const MachineConfig machine{};
     return machine;
 }
 

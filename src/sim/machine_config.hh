@@ -11,13 +11,13 @@
  * instantiate arbitrary CMPs from config files, and sweeps can range
  * over *topology* instead of only approximator knobs.
  *
- * The all-defaults object is the named built-in "table2" machine
- * (paper Table II): its phase-1 projection equals
- * Evaluator::baselineLva()/preciseConfig() and its full-system
- * projection equals FullSystemConfig::baseline()/lva(d) exactly, so
- * exports under the default machine stay byte-identical to the
- * pre-config-file hardcoded paths (pinned by machine_config_test and
- * refactor_identity_test).
+ * The all-defaults object, defaultMachine(), is the named built-in
+ * "table2" machine (paper Table II) and the only place machine
+ * defaults live: every driver, tool and test gets its configuration
+ * by projection — phase1Config()/phase1Lva()/phase1Precise() for the
+ * phase-1 evaluator, fullSystem() for the phase-2 timing model (whose
+ * FullSystemConfig only MachineConfig can construct) — and edits the
+ * swept knob through ApproxMemory::Config::editApprox.
  *
  * The schema is documented key-by-key in docs/topology.md, whose
  * marker-delimited table scripts/check_docs.sh diffs two-way against
@@ -83,9 +83,6 @@ struct MachineConfig
      */
     std::vector<ApproximatorConfig> coreApprox;
 
-    /** The built-in paper Table II machine (all defaults). */
-    static MachineConfig table2() { return {}; }
-
     /**
      * Throw std::runtime_error on any invalid or inconsistent field:
      * zero/excessive core counts, cores vs NoC-node or L2-bank
@@ -113,10 +110,9 @@ struct MachineConfig
     /**
      * Phase-2 projection: the full-system timing model of this
      * machine. With @p lvaEnabled the approximator runs at
-     * @p degree with a value delay of 1 load, exactly like
-     * FullSystemConfig::lva (paper section VI-E observes ~1 in
-     * full-system runs); per-core variants carry over with the same
-     * degree/delay override applied.
+     * @p degree with a value delay of 1 load (paper section VI-E
+     * observes ~1 in full-system runs); per-core variants carry over
+     * with the same degree/delay override applied.
      */
     FullSystemConfig fullSystem(bool lvaEnabled, u32 degree = 0) const;
 };

@@ -191,45 +191,64 @@ class JsonReader
     }
 
     JsonValue
+    object()
+    {
+        ++pos_; // '{'
+        JsonValue v;
+        v.type = JsonValue::Type::Object;
+        skipWs();
+        if (consume('}'))
+            return v;
+        for (;;) {
+            skipWs();
+            std::string key = string();
+            skipWs();
+            expect(':');
+            v.members.emplace_back(std::move(key), value());
+            skipWs();
+            if (consume(','))
+                continue;
+            expect('}');
+            return v;
+        }
+    }
+
+    JsonValue
+    array()
+    {
+        ++pos_; // '['
+        JsonValue v;
+        v.type = JsonValue::Type::Array;
+        skipWs();
+        if (consume(']'))
+            return v;
+        for (;;) {
+            v.items.push_back(value());
+            skipWs();
+            if (consume(','))
+                continue;
+            expect(']');
+            return v;
+        }
+    }
+
+    JsonValue
     value()
     {
         skipWs();
         const char c = peek();
+        if (c == '{' || c == '[') {
+            // Parsing (and later destroying) a value recurses once
+            // per nesting level, so the depth is bounded before a
+            // short hostile document can exhaust the stack.
+            if (depth_ == kMaxJsonDepth)
+                fail("nesting too deep");
+            ++depth_;
+            JsonValue v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+        }
         JsonValue v;
-        if (c == '{') {
-            ++pos_;
-            v.type = JsonValue::Type::Object;
-            skipWs();
-            if (consume('}'))
-                return v;
-            for (;;) {
-                skipWs();
-                std::string key = string();
-                skipWs();
-                expect(':');
-                v.members.emplace_back(std::move(key), value());
-                skipWs();
-                if (consume(','))
-                    continue;
-                expect('}');
-                return v;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            v.type = JsonValue::Type::Array;
-            skipWs();
-            if (consume(']'))
-                return v;
-            for (;;) {
-                v.items.push_back(value());
-                skipWs();
-                if (consume(','))
-                    continue;
-                expect(']');
-                return v;
-            }
-        }
         if (c == '"') {
             v.type = JsonValue::Type::String;
             v.text = string();
@@ -251,6 +270,7 @@ class JsonReader
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    u32 depth_ = 0; ///< open arrays/objects around pos_
 };
 
 } // namespace

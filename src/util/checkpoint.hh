@@ -90,11 +90,16 @@ class JsonValue
     const std::string &asString() const;
 };
 
+/** Deepest array/object nesting parseJson accepts (every document
+ *  the project writes nests a handful of levels). */
+constexpr u32 kMaxJsonDepth = 64;
+
 /**
  * Parse @p text as one JSON value; throws std::runtime_error with an
- * offset on malformed input. Accepts exactly the subset our writers
- * produce (objects, arrays, strings with the jsonQuote escapes,
- * numbers, true/false/null).
+ * offset on malformed input, including nesting deeper than
+ * kMaxJsonDepth. Accepts exactly the subset our writers produce
+ * (objects, arrays, strings with the jsonQuote escapes, numbers,
+ * true/false/null).
  */
 JsonValue parseJson(const std::string &text);
 

@@ -1,10 +1,7 @@
 #include "util/stat_registry.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-
-#include "util/env_knob.hh"
 
 namespace lva {
 
@@ -155,63 +152,7 @@ StatSnapshot::setGauge(const std::string &path, double value,
     entries.insert(it, std::move(e));
 }
 
-// --- EventTracer ------------------------------------------------------
-
-EventTracer::EventTracer(std::size_t capacity) : capacity_(capacity)
-{
-    ring_.resize(capacity_);
-}
-
-void
-EventTracer::record(const std::string &path, double value)
-{
-    if (capacity_ == 0)
-        return;
-    TracedEvent &slot = ring_[head_];
-    slot.seq = seq_++;
-    slot.path = path;
-    slot.value = value;
-    head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<TracedEvent>
-EventTracer::drain()
-{
-    std::vector<TracedEvent> out;
-    if (capacity_ == 0)
-        return out;
-    const std::size_t retained =
-        seq_ < capacity_ ? static_cast<std::size_t>(seq_) : capacity_;
-    out.reserve(retained);
-    // Oldest retained event sits at head_ once the ring has wrapped.
-    const std::size_t start = seq_ < capacity_ ? 0 : head_;
-    for (std::size_t k = 0; k < retained; ++k)
-        out.push_back(std::move(ring_[(start + k) % capacity_]));
-    for (auto &slot : ring_)
-        slot = TracedEvent{};
-    head_ = 0;
-    seq_ = 0;
-    return out;
-}
-
-std::size_t
-EventTracer::capacityFromEnv()
-{
-    return static_cast<std::size_t>(
-        envKnobU64("LVA_TRACE", 0, 0, 1u << 24));
-}
-
 // --- StatRegistry -----------------------------------------------------
-
-StatRegistry::StatRegistry()
-    : tracer_(EventTracer::capacityFromEnv())
-{
-}
-
-StatRegistry::StatRegistry(std::size_t traceCapacity)
-    : tracer_(traceCapacity)
-{
-}
 
 StatRegistry::Entry &
 StatRegistry::findOrCreate(const std::string &path, StatType type,

@@ -16,9 +16,6 @@
  * Registries are thread-confined by design: one per simulation
  * instance (ApproxMemory, FullSystemSim), never shared across sweep
  * points, so no locking is needed anywhere on the hot path.
- *
- * An optional ring-buffer event tracer rides along, disabled unless
- * the LVA_TRACE environment knob gives it a capacity.
  */
 
 #ifndef LVA_UTIL_STAT_REGISTRY_HH
@@ -89,45 +86,6 @@ struct StatSnapshot
                   std::string desc = "", std::string unit = "");
 };
 
-/** One recorded trace event. */
-struct TracedEvent
-{
-    u64 seq = 0;       ///< monotonically increasing record index
-    std::string path;  ///< dotted event name
-    double value = 0.0;
-};
-
-/**
- * Fixed-capacity ring buffer of trace events; capacity 0 disables
- * recording entirely (record() is a branch and a return).
- */
-class EventTracer
-{
-  public:
-    /** @param capacity ring size; 0 = disabled */
-    explicit EventTracer(std::size_t capacity);
-
-    bool enabled() const { return capacity_ > 0; }
-    std::size_t capacity() const { return capacity_; }
-
-    /** Total events ever recorded (including overwritten ones). */
-    u64 recorded() const { return seq_; }
-
-    void record(const std::string &path, double value);
-
-    /** The retained events, oldest first; clears the ring. */
-    std::vector<TracedEvent> drain();
-
-    /** Ring capacity from the LVA_TRACE env knob; 0 when unset/off. */
-    static std::size_t capacityFromEnv();
-
-  private:
-    std::size_t capacity_;
-    std::size_t head_ = 0; ///< next write slot
-    u64 seq_ = 0;
-    std::vector<TracedEvent> ring_;
-};
-
 /**
  * The registry. register-or-get semantics: asking for an existing
  * path of the same type (and, for histograms, the same geometry)
@@ -137,12 +95,7 @@ class EventTracer
 class StatRegistry
 {
   public:
-    /** Tracer capacity from LVA_TRACE. */
-    StatRegistry();
-
-    /** Explicit tracer capacity (tests; 0 = tracing off). */
-    explicit StatRegistry(std::size_t traceCapacity);
-
+    StatRegistry() = default;
     StatRegistry(const StatRegistry &) = delete;
     StatRegistry &operator=(const StatRegistry &) = delete;
 
@@ -162,24 +115,6 @@ class StatRegistry
 
     /** Reset every registered stat (registration is kept). */
     void reset();
-
-    EventTracer &tracer() { return tracer_; }
-    const EventTracer &tracer() const { return tracer_; }
-
-    /**
-     * Cheap hot-path guard: callers that must compute the traced
-     * value (e.g. a Value -> double conversion) check this first so
-     * the conversion is skipped entirely when tracing is off.
-     */
-    bool tracingEnabled() const { return tracer_.enabled(); }
-
-    /** Record a trace event if tracing is enabled. */
-    void
-    trace(const std::string &path, double value)
-    {
-        if (tracer_.enabled())
-            tracer_.record(path, value);
-    }
 
     /**
      * Join two dotted-path fragments; either side may be empty
@@ -203,7 +138,6 @@ class StatRegistry
                         std::string &&desc, std::string &&unit);
 
     std::map<std::string, Entry> entries_; ///< sorted -> snapshot order
-    EventTracer tracer_;
 };
 
 } // namespace lva

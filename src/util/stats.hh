@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics collection: scalar counters, running means and
+ * Lightweight statistics collection: scalar counters, gauges and
  * histograms, in the spirit of gem5's stats package but trimmed to what the
  * LVA evaluation needs.
  */
@@ -41,54 +41,6 @@ class Gauge
 
   private:
     double value_ = 0.0;
-};
-
-/** Running mean / variance accumulator (Welford). */
-class RunningStat
-{
-  public:
-    void
-    sample(double x)
-    {
-        ++n_;
-        const double delta = x - mean_;
-        mean_ += delta / static_cast<double>(n_);
-        m2_ += delta * (x - mean_);
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-        sum_ += x;
-    }
-
-    u64 count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        n_ = 0;
-        mean_ = m2_ = sum_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    u64 n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /** Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets. */

@@ -124,6 +124,62 @@ TEST(ParseJson, RejectsMalformedInput)
     EXPECT_THROW(parseJson("nope"), std::runtime_error);
 }
 
+/** @p depth nested arrays, innermost holding 1: "[[1]]" at depth 2. */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+}
+
+/** @p depth nested objects: {"a":{"a":1}} at depth 2. */
+std::string
+nestedObjects(std::size_t depth)
+{
+    std::string out;
+    for (std::size_t i = 0; i < depth; ++i)
+        out += "{\"a\":";
+    return out + "1" + std::string(depth, '}');
+}
+
+/** The parse diagnostic for @p text, or "" when it parsed. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseJson(text);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ParseJson, NestingAtTheLimitParses)
+{
+    const JsonValue arrays = parseJson(nestedArrays(kMaxJsonDepth));
+    const JsonValue *v = &arrays;
+    for (u32 i = 0; i < kMaxJsonDepth; ++i) {
+        ASSERT_TRUE(v->isArray());
+        ASSERT_EQ(v->items.size(), 1u);
+        v = &v->items[0];
+    }
+    EXPECT_EQ(v->asU64(), 1u);
+    EXPECT_TRUE(parseJson(nestedObjects(kMaxJsonDepth)).isObject());
+}
+
+TEST(ParseJson, DeeperNestingIsRejectedNotACrash)
+{
+    // One level past the limit, and hostile 100 000-deep documents
+    // that would overflow the stack of an unbounded recursive reader.
+    for (const std::string &text :
+         {nestedArrays(kMaxJsonDepth + 1), nestedObjects(kMaxJsonDepth + 1),
+          std::string(100000, '['), nestedObjects(100000)}) {
+        const std::string err = parseError(text);
+        EXPECT_NE(err.find("bad JSON"), std::string::npos) << err;
+        EXPECT_NE(err.find("nesting too deep"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(ParseJson, AsU64RejectsNonUnsignedNumbers)
 {
     // asU64 guards every count the manifest and RPC layers trust

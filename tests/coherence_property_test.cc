@@ -16,6 +16,7 @@
 
 #include "cpu/trace.hh"
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 #include "util/random.hh"
 
 namespace lva {
@@ -49,7 +50,7 @@ class CoherenceProperty : public ::testing::TestWithParam<u64>
 TEST_P(CoherenceProperty, RandomTrafficCompletesAndConserves)
 {
     const auto traces = randomSharedTraffic(GetParam(), 400, 16);
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(traces);
 
     // Conservation: every instruction retires exactly once.
@@ -85,9 +86,9 @@ TEST_P(CoherenceProperty, LvaOnSharedTrafficStaysSane)
             if (ev.isLoad && rng.chance(0.5))
                 ev.approximable = true;
 
-    FullSystemSim base(FullSystemConfig::baseline());
+    FullSystemSim base(defaultMachine().fullSystem(false));
     const FullSystemResult rb = base.run(traces);
-    FullSystemSim lva(FullSystemConfig::lva(4));
+    FullSystemSim lva(defaultMachine().fullSystem(true, 4));
     const FullSystemResult rl = lva.run(traces);
 
     EXPECT_EQ(rb.instructions, rl.instructions);
@@ -115,7 +116,7 @@ TEST(Coherence, PingPongWriteSharing)
         ev.instrBefore = 200; // keep the cores roughly in lockstep
         traces[i % 2].push_back(ev);
     }
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(traces);
     // At most the first access per core can be a cold miss; all the
     // rest are coherence misses: with 20 ping-ponged writes, nearly
@@ -138,7 +139,7 @@ TEST(Coherence, ReadSharingIsPeaceful)
             traces[t].push_back(ev);
         }
     }
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(traces);
     EXPECT_EQ(r.l1Misses, 4u);
     EXPECT_EQ(r.dramAccesses, 1u); // one fill serves everyone via L2

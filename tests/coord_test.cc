@@ -62,7 +62,7 @@ testPoints(bool includeBadWorkload = false)
     for (const char *name :
          {"swaptions", "blackscholes", "fluidanimate", "bodytrack"}) {
         for (u32 ghb : {0u, 2u}) {
-            ApproxMemory::Config cfg = Evaluator::baselineLva();
+            ApproxMemory::Config cfg = defaultMachine().phase1Lva();
             cfg.approx.ghbEntries = ghb;
             points.push_back({"ghb-" + std::to_string(ghb), name, cfg});
         }
@@ -72,7 +72,7 @@ testPoints(bool includeBadWorkload = false)
         // evaluates it — the honest-failure path, no fault injection
         // needed.
         points.push_back(
-            {"bad", "no-such-workload", Evaluator::baselineLva()});
+            {"bad", "no-such-workload", defaultMachine().phase1Lva()});
     }
     return points;
 }

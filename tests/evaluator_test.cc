@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/evaluator.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 namespace {
@@ -24,7 +25,7 @@ TEST(Evaluator, PreciseConfigEvaluatesToUnity)
 {
     Evaluator eval(1, 0.05);
     const EvalResult r =
-        eval.evaluate("canneal", Evaluator::preciseConfig());
+        eval.evaluate("canneal", defaultMachine().phase1Precise());
     EXPECT_NEAR(r.normMpki, 1.0, 1e-9);
     EXPECT_NEAR(r.normFetches, 1.0, 1e-9);
     EXPECT_DOUBLE_EQ(r.outputError, 0.0);
@@ -35,7 +36,7 @@ TEST(Evaluator, LvaReducesEffectiveMpkiOnIntegerData)
 {
     Evaluator eval(1, 0.05);
     const EvalResult r =
-        eval.evaluate("canneal", Evaluator::baselineLva());
+        eval.evaluate("canneal", defaultMachine().phase1Lva());
     EXPECT_LT(r.normMpki, 0.9);
     EXPECT_GT(r.coverage, 0.0);
 }
@@ -54,9 +55,9 @@ TEST(Evaluator, SeedAveragingIsDeterministic)
     Evaluator a(2, 0.05);
     Evaluator b(2, 0.05);
     const EvalResult ra =
-        a.evaluate("blackscholes", Evaluator::baselineLva());
+        a.evaluate("blackscholes", defaultMachine().phase1Lva());
     const EvalResult rb =
-        b.evaluate("blackscholes", Evaluator::baselineLva());
+        b.evaluate("blackscholes", defaultMachine().phase1Lva());
     EXPECT_DOUBLE_EQ(ra.normMpki, rb.normMpki);
     EXPECT_DOUBLE_EQ(ra.outputError, rb.outputError);
 }
@@ -64,8 +65,8 @@ TEST(Evaluator, SeedAveragingIsDeterministic)
 TEST(Evaluator, DegreeReducesFetches)
 {
     Evaluator eval(1, 0.05);
-    ApproxMemory::Config deg0 = Evaluator::baselineLva();
-    ApproxMemory::Config deg8 = Evaluator::baselineLva();
+    ApproxMemory::Config deg0 = defaultMachine().phase1Lva();
+    ApproxMemory::Config deg8 = defaultMachine().phase1Lva();
     deg8.approx.approxDegree = 8;
     const EvalResult r0 = eval.evaluate("canneal", deg0);
     const EvalResult r8 = eval.evaluate("canneal", deg8);
@@ -74,7 +75,7 @@ TEST(Evaluator, DegreeReducesFetches)
 
 TEST(Evaluator, BaselineConfigsMatchPaper)
 {
-    const ApproxMemory::Config lva = Evaluator::baselineLva();
+    const ApproxMemory::Config lva = defaultMachine().phase1Lva();
     EXPECT_EQ(lva.mode, MemMode::Lva);
     EXPECT_EQ(lva.cache.sizeBytes, 64u * 1024);
     EXPECT_EQ(lva.approx.tableEntries, 512u);

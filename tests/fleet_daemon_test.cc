@@ -74,7 +74,7 @@ directExport()
     std::vector<SweepPoint> points;
     for (const char *name : {"swaptions", "blackscholes"}) {
         for (u32 ghb : {0u, 2u}) {
-            ApproxMemory::Config cfg = Evaluator::baselineLva();
+            ApproxMemory::Config cfg = defaultMachine().phase1Lva();
             cfg.approx.ghbEntries = ghb;
             points.push_back(
                 {"ghb-" + std::to_string(ghb), name, cfg});

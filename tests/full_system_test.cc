@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 namespace {
@@ -46,7 +47,7 @@ fourTraces(ThreadTrace t0 = {}, ThreadTrace t1 = {},
 
 TEST(FullSystem, EmptyTracesFinish)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(fourTraces());
     EXPECT_DOUBLE_EQ(r.cycles, 0.0);
     EXPECT_EQ(r.instructions, 0u);
@@ -54,7 +55,7 @@ TEST(FullSystem, EmptyTracesFinish)
 
 TEST(FullSystem, SingleMissPaysMemoryLatency)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     ThreadTrace t0 = {loadEv(0x100000), loadEv(0x100000, 0)};
     const FullSystemResult r = sim.run(fourTraces(std::move(t0)));
     // First load: L2 miss -> DRAM (160) + NoC + L2; second load hits.
@@ -68,7 +69,7 @@ TEST(FullSystem, SingleMissPaysMemoryLatency)
 
 TEST(FullSystem, L2HitIsMuchFaster)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     // Two cores read the same block: the second finds it in L2.
     ThreadTrace t0 = {loadEv(0x100000)};
     ThreadTrace t1 = {loadEv(0x100000, 400)}; // issue later
@@ -80,7 +81,7 @@ TEST(FullSystem, L2HitIsMuchFaster)
 
 TEST(FullSystem, ApproximatedMissDoesNotStall)
 {
-    FullSystemConfig cfg = FullSystemConfig::lva(0);
+    FullSystemConfig cfg = defaultMachine().fullSystem(true, 0);
     FullSystemSim sim(cfg);
     // Train the context once, then miss on fresh blocks repeatedly:
     // every approximated miss retires without waiting for DRAM.
@@ -98,7 +99,7 @@ TEST(FullSystem, ApproximatedMissDoesNotStall)
 
 TEST(FullSystem, DegreeSkipsFetchesInTiming)
 {
-    FullSystemSim sim(FullSystemConfig::lva(4));
+    FullSystemSim sim(defaultMachine().fullSystem(true, 4));
     ThreadTrace t0;
     for (u32 i = 0; i < 41; ++i)
         t0.push_back(
@@ -113,7 +114,7 @@ TEST(FullSystem, DegreeSkipsFetchesInTiming)
 
 TEST(FullSystem, StoresDoNotStallTheCore)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     ThreadTrace t0;
     for (u32 i = 0; i < 8; ++i)
         t0.push_back(storeEv(0x200000 + i * 0x10000, 4));
@@ -126,7 +127,7 @@ TEST(FullSystem, StoresDoNotStallTheCore)
 
 TEST(FullSystem, WriteInvalidatesRemoteCopy)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     // Core 0 reads a block; core 1 writes it (much later); core 0
     // reads it again and must re-miss (its copy was invalidated).
     ThreadTrace t0 = {loadEv(0x300000), loadEv(0x300000, 4000)};
@@ -138,7 +139,7 @@ TEST(FullSystem, WriteInvalidatesRemoteCopy)
 
 TEST(FullSystem, ReadAfterRemoteWriteForwardsDirtyData)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     // Core 1 writes a block (becomes M); core 0 then reads it: the
     // directory forwards from core 1's L1, not DRAM.
     ThreadTrace t0 = {loadEv(0x300000, 3000)};
@@ -150,7 +151,7 @@ TEST(FullSystem, ReadAfterRemoteWriteForwardsDirtyData)
 
 TEST(FullSystem, DependentLoadSerializesBehindProducer)
 {
-    FullSystemConfig cfg = FullSystemConfig::baseline();
+    FullSystemConfig cfg = defaultMachine().fullSystem(false);
     FullSystemSim sim(cfg);
     ThreadTrace t0;
     TraceEvent producer = loadEv(0x100000);
@@ -170,7 +171,7 @@ TEST(FullSystem, DependentLoadSerializesBehindProducer)
 
 TEST(FullSystem, InstructionsAreConserved)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     ThreadTrace t0 = {loadEv(0x100000, 10), storeEv(0x200000, 20)};
     ThreadTrace t1 = {loadEv(0x110000, 5)};
     const FullSystemResult r =
@@ -180,7 +181,7 @@ TEST(FullSystem, InstructionsAreConserved)
 
 TEST(FullSystem, EnergyEventsPopulated)
 {
-    FullSystemSim sim(FullSystemConfig::lva(0));
+    FullSystemSim sim(defaultMachine().fullSystem(true, 0));
     ThreadTrace t0;
     // Spread across L2 banks so some requests cross mesh links.
     for (u32 i = 0; i < 10; ++i)
@@ -195,7 +196,7 @@ TEST(FullSystem, EnergyEventsPopulated)
 
 TEST(FullSystem, BaselineNeverApproximates)
 {
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     ThreadTrace t0 = {loadEv(0x100000, 0, true, 7),
                       loadEv(0x110000, 0, true, 7)};
     const FullSystemResult r = sim.run(fourTraces(std::move(t0)));

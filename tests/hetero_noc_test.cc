@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 namespace {
@@ -31,7 +32,7 @@ approxStream(u32 loads)
 
 TEST(HeteroNoc, TrainingTrafficMovesToSlowPlane)
 {
-    FullSystemConfig cfg = FullSystemConfig::lva(0);
+    FullSystemConfig cfg = defaultMachine().fullSystem(true, 0);
     cfg.heteroNoc = true;
     FullSystemSim sim(cfg);
     const FullSystemResult r = sim.run(approxStream(40));
@@ -43,7 +44,7 @@ TEST(HeteroNoc, TrainingTrafficMovesToSlowPlane)
 
 TEST(HeteroNoc, DisabledMeansNoSlowTraffic)
 {
-    FullSystemSim sim(FullSystemConfig::lva(0));
+    FullSystemSim sim(defaultMachine().fullSystem(true, 0));
     const FullSystemResult r = sim.run(approxStream(40));
     EXPECT_EQ(r.events.nocFlitHopsSlow, 0u);
     EXPECT_GT(r.events.nocFlitHops, 0u);
@@ -51,8 +52,8 @@ TEST(HeteroNoc, DisabledMeansNoSlowTraffic)
 
 TEST(HeteroNoc, ReducesNocEnergyWithoutChangingWork)
 {
-    FullSystemConfig homo = FullSystemConfig::lva(0);
-    FullSystemConfig hetero = FullSystemConfig::lva(0);
+    FullSystemConfig homo = defaultMachine().fullSystem(true, 0);
+    FullSystemConfig hetero = defaultMachine().fullSystem(true, 0);
     hetero.heteroNoc = true;
 
     FullSystemSim homo_sim(homo);
@@ -72,7 +73,7 @@ TEST(HeteroNoc, DemandTrafficKeepsTheFastPlane)
 {
     // Non-approximable loads always use the fast plane even when the
     // heterogeneous NoC is configured.
-    FullSystemConfig cfg = FullSystemConfig::baseline();
+    FullSystemConfig cfg = defaultMachine().fullSystem(false);
     cfg.heteroNoc = true;
     FullSystemSim sim(cfg);
     std::vector<ThreadTrace> traces(4);

@@ -68,7 +68,7 @@ TEST(Integration, BaselineReplayMatchesTraceInstructionCount)
     TraceRecorder rec(params.threads);
     w->run(rec);
 
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(rec.traces());
     EXPECT_EQ(r.instructions, rec.totalInstructions());
 }

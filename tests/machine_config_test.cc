@@ -2,14 +2,10 @@
  * @file
  * MachineConfig (lva-machine-v1) parser and projection tests.
  *
- * Three properties matter:
+ * Two properties matter:
  *  - strict parsing: unknown keys, out-of-range values and
  *    inconsistent geometry are rejected with the offending key named
  *    (a silently-ignored typo would simulate the wrong machine);
- *  - the built-in default machine is byte-for-byte the pre-config
- *    hardcoded configuration — Evaluator::baselineLva() /
- *    preciseConfig() in phase 1, FullSystemConfig::baseline()/lva(d)
- *    in phase 2 — so file-less exports never move;
  *  - renderMachineJson() is a canonical inverse of machineFromJson()
  *    (the serving tier and manifest context keys depend on it).
  */
@@ -25,8 +21,6 @@
 #include <vector>
 
 #include "core/approx_memory.hh"
-#include "eval/evaluator.hh"
-#include "eval/sweep.hh"
 #include "sim/machine_config.hh"
 #include "util/checkpoint.hh"
 
@@ -69,60 +63,6 @@ expectRejected(const std::string &json, const std::string &needle)
     EXPECT_NE(msg.find(needle), std::string::npos)
         << "diagnostic \"" << msg << "\" does not name \"" << needle
         << "\" for: " << json;
-}
-
-void
-expectApproxEq(const ApproximatorConfig &a, const ApproximatorConfig &b)
-{
-    EXPECT_EQ(a.tableEntries, b.tableEntries);
-    EXPECT_EQ(a.tableAssoc, b.tableAssoc);
-    EXPECT_EQ(a.confidenceBits, b.confidenceBits);
-    EXPECT_EQ(a.confidenceWindow, b.confidenceWindow);
-    EXPECT_EQ(a.confidenceForInts, b.confidenceForInts);
-    EXPECT_EQ(a.confidenceDisabled, b.confidenceDisabled);
-    EXPECT_EQ(a.ghbEntries, b.ghbEntries);
-    EXPECT_EQ(a.lhbEntries, b.lhbEntries);
-    EXPECT_EQ(a.tagBits, b.tagBits);
-    EXPECT_EQ(a.valueDelay, b.valueDelay);
-    EXPECT_EQ(a.approxDegree, b.approxDegree);
-    EXPECT_EQ(a.estimator, b.estimator);
-    EXPECT_EQ(a.proportionalConfidence, b.proportionalConfidence);
-    EXPECT_EQ(a.mantissaDropBits, b.mantissaDropBits);
-}
-
-void
-expectFullSystemEq(const FullSystemConfig &a, const FullSystemConfig &b)
-{
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.core.width, b.core.width);
-    EXPECT_EQ(a.core.robEntries, b.core.robEntries);
-    EXPECT_EQ(a.l1.sizeBytes, b.l1.sizeBytes);
-    EXPECT_EQ(a.l1.assoc, b.l1.assoc);
-    EXPECT_EQ(a.l1.blockBytes, b.l1.blockBytes);
-    EXPECT_EQ(a.l1Latency, b.l1Latency);
-    EXPECT_EQ(a.l2.sizeBytes, b.l2.sizeBytes);
-    EXPECT_EQ(a.l2.assoc, b.l2.assoc);
-    EXPECT_EQ(a.l2.blockBytes, b.l2.blockBytes);
-    EXPECT_EQ(a.l2Latency, b.l2Latency);
-    EXPECT_EQ(a.l2Banks, b.l2Banks);
-    EXPECT_EQ(a.l2Occupancy, b.l2Occupancy);
-    EXPECT_EQ(a.protocol, b.protocol);
-    EXPECT_EQ(a.memLatency, b.memLatency);
-    EXPECT_EQ(a.memOccupancy, b.memOccupancy);
-    EXPECT_EQ(a.mesh.cols, b.mesh.cols);
-    EXPECT_EQ(a.mesh.rows, b.mesh.rows);
-    EXPECT_EQ(a.mesh.routerCycles, b.mesh.routerCycles);
-    EXPECT_EQ(a.mesh.flitBytes, b.mesh.flitBytes);
-    EXPECT_EQ(a.lvaEnabled, b.lvaEnabled);
-    expectApproxEq(a.approx, b.approx);
-    EXPECT_EQ(a.coreApprox.size(), b.coreApprox.size());
-    EXPECT_EQ(a.backgroundFetchExtraLatency,
-              b.backgroundFetchExtraLatency);
-    EXPECT_EQ(a.heteroNoc, b.heteroNoc);
-    EXPECT_EQ(a.slowMesh.cols, b.slowMesh.cols);
-    EXPECT_EQ(a.slowMesh.rows, b.slowMesh.rows);
-    EXPECT_EQ(a.slowMesh.routerCycles, b.slowMesh.routerCycles);
-    EXPECT_EQ(a.slowMesh.flitBytes, b.slowMesh.flitBytes);
 }
 
 /** A hetero machine exercising most non-default fields. */
@@ -335,33 +275,6 @@ TEST(MachineConfigFile, RoundTripsThroughRenderAndParse)
     EXPECT_EQ(m.name, "h4");
     EXPECT_EQ(renderMachineJson(m),
               renderMachineJson(parse(renderMachineJson(m))));
-}
-
-TEST(MachineConfigDefault, Phase1MatchesTheHardcodedEvaluatorConfigs)
-{
-    // The pre-config-file byte-identity pin: the default machine's
-    // phase-1 projections are the exact configs every driver used
-    // before --machine existed, down to the manifest config key.
-    EXPECT_EQ(configKey(defaultMachine().phase1Lva()),
-              configKey(Evaluator::baselineLva()));
-    EXPECT_EQ(configKey(defaultMachine().phase1Precise()),
-              configKey(Evaluator::preciseConfig()));
-    EXPECT_EQ(configKey(Evaluator::preciseBaseFor(
-                  defaultMachine().phase1Lva())),
-              configKey(Evaluator::preciseConfig()));
-}
-
-TEST(MachineConfigDefault, FullSystemMatchesBaselineAndLva)
-{
-    expectFullSystemEq(defaultMachine().fullSystem(false),
-                       FullSystemConfig::baseline());
-    expectFullSystemEq(defaultMachine().fullSystem(true, 4),
-                       FullSystemConfig::lva(4));
-    expectFullSystemEq(defaultMachine().fullSystem(true, 16),
-                       FullSystemConfig::lva(16));
-    // Degree is meaningless without the mechanism; baseline ignores it.
-    expectFullSystemEq(defaultMachine().fullSystem(false, 16),
-                       FullSystemConfig::baseline());
 }
 
 TEST(MachineConfigProjection, HeteroVariantsCarryIntoBothPhases)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 namespace {
@@ -34,7 +35,7 @@ storeEv(Addr addr, u32 instr_before = 0)
 FullSystemConfig
 withProtocol(CoherenceProtocol p)
 {
-    FullSystemConfig cfg = FullSystemConfig::baseline();
+    FullSystemConfig cfg = defaultMachine().fullSystem(false);
     cfg.protocol = p;
     return cfg;
 }
@@ -115,7 +116,7 @@ TEST(BankedL2, CapacityIsActuallyUsable)
             traces[0].push_back(
                 loadEv(0x1000000 + static_cast<Addr>(i) * 64, 2));
     // Thrash the L1 between passes so second-pass hits come from L2.
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(traces);
     EXPECT_EQ(r.dramAccesses, 2048u); // pass 2: all L2 hits
 }
@@ -132,7 +133,7 @@ TEST(BankedL2, SliceConflictsAreRealistic)
         traces[0].push_back(
             loadEv(0x2000000 + i * set_stride, 2));
     traces[0].push_back(loadEv(0x2000000, 2)); // revisit first line
-    FullSystemSim sim(FullSystemConfig::baseline());
+    FullSystemSim sim(defaultMachine().fullSystem(false));
     const FullSystemResult r = sim.run(traces);
     EXPECT_EQ(r.dramAccesses, 25u); // the revisit went to DRAM again
 }

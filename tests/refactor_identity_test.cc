@@ -49,7 +49,7 @@ maybePrintGolden(const char *what, const std::string &digest)
 }
 
 /** The exact fig5_ghb_error sweep grid (bench/fig5_ghb_error.cc),
- *  built from @p base — Evaluator::baselineLva() or a machine's
+ *  built from @p base — defaultMachine().phase1Lva() or a machine's
  *  phase-1 projection. */
 std::vector<SweepPoint>
 fig5Points(const ApproxMemory::Config &base)
@@ -70,7 +70,7 @@ fig5Points(const ApproxMemory::Config &base)
 std::string
 fig5ExportDigest(u32 jobs,
                  const ApproxMemory::Config &base =
-                     Evaluator::baselineLva())
+                     defaultMachine().phase1Lva())
 {
     Evaluator eval(kSeeds, kScale);
     SweepRunner runner(eval, jobs);
@@ -94,10 +94,11 @@ TEST(RefactorIdentity, Fig5ExportBytesMatchPreRefactorJobs4)
     EXPECT_EQ(digest, kFig5GoldenDigest);
 }
 
-/** The exact fig10_fullsystem grid (bench/fig10_fullsystem.cc).
- *  @p machine as in runFullSystemSweep: null = built-in Table II. */
+/** The exact fig10_fullsystem grid (bench/fig10_fullsystem.cc) on
+ *  @p machine. */
 std::string
-fig10ExportDigest(u32 jobs, const MachineConfig *machine = nullptr)
+fig10ExportDigest(u32 jobs,
+                  const MachineConfig &machine = defaultMachine())
 {
     const std::vector<u32> degrees = {0, 2, 4, 8, 16};
     const auto &names = allWorkloadNames();
@@ -124,21 +125,28 @@ TEST(RefactorIdentity, Fig10ExportBytesMatchPreRefactorJobs4)
     EXPECT_EQ(digest, kFig10GoldenDigest);
 }
 
-// PR 10: passing the built-in machine *explicitly* — as a parsed
-// config object, the way --machine/LVA_MACHINE do — must reproduce
-// the same pre-config golden bytes as no machine at all, at any job
-// count. This is the file-less/default-file equivalence the topology
-// docs promise.
+// Passing the built-in machine *explicitly* — as a parsed config
+// object, the way --machine/LVA_MACHINE do — must reproduce the same
+// golden bytes as no machine at all, at any job count. This is the
+// file-less/default-file equivalence the topology docs promise.
+
+/** The default machine after a render/parse round trip, as a
+ *  --machine file holding its canonical JSON would load it. */
+MachineConfig
+parsedDefaultMachine()
+{
+    return machineFromJson(parseJson(renderMachineJson(defaultMachine())));
+}
 
 TEST(RefactorIdentity, Fig5ExplicitDefaultMachineMatchesGoldenSerial)
 {
-    EXPECT_EQ(fig5ExportDigest(1, defaultMachine().phase1Lva()),
+    EXPECT_EQ(fig5ExportDigest(1, parsedDefaultMachine().phase1Lva()),
               kFig5GoldenDigest);
 }
 
 TEST(RefactorIdentity, Fig5ExplicitDefaultMachineMatchesGoldenJobs4)
 {
-    EXPECT_EQ(fig5ExportDigest(4, defaultMachine().phase1Lva()),
+    EXPECT_EQ(fig5ExportDigest(4, parsedDefaultMachine().phase1Lva()),
               kFig5GoldenDigest);
 }
 
@@ -152,13 +160,13 @@ TEST(RefactorIdentity, Fig5ParsedMinimalMachineMatchesGolden)
 
 TEST(RefactorIdentity, Fig10ExplicitDefaultMachineMatchesGoldenSerial)
 {
-    EXPECT_EQ(fig10ExportDigest(1, &defaultMachine()),
+    EXPECT_EQ(fig10ExportDigest(1, parsedDefaultMachine()),
               kFig10GoldenDigest);
 }
 
 TEST(RefactorIdentity, Fig10ExplicitDefaultMachineMatchesGoldenJobs4)
 {
-    EXPECT_EQ(fig10ExportDigest(4, &defaultMachine()),
+    EXPECT_EQ(fig10ExportDigest(4, parsedDefaultMachine()),
               kFig10GoldenDigest);
 }
 

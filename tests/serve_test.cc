@@ -175,6 +175,20 @@ TEST(ServeService, MalformedRequestsAreErrorsNotThrows)
               static_cast<double>(std::size(bad)));
 }
 
+TEST(ServeService, DeeplyNestedRequestIsAnErrorNotACrash)
+{
+    // A ~200 KB frame of nested arrays is deep enough to overflow an
+    // unbounded recursive parser and kill the daemon; it must be
+    // answered like any other malformed request.
+    EvalService service(kSeeds, kScale, testOptions());
+    const std::string req =
+        "{\"op\":\"eval\",\"workload\":" + std::string(200000, '[');
+    const JsonValue resp = parseResponse(service.handle(req));
+    EXPECT_FALSE(responseOk(resp));
+    EXPECT_NE(resp.at("error").asString().find("nesting too deep"),
+              std::string::npos);
+}
+
 TEST(ServeService, ShutdownLatchesTheFlag)
 {
     EvalService service(kSeeds, kScale, testOptions());
@@ -252,7 +266,7 @@ directExport(u32 jobs)
     std::vector<SweepPoint> points;
     for (const char *name : {"swaptions", "blackscholes"}) {
         for (u32 ghb : {0u, 2u}) {
-            ApproxMemory::Config cfg = Evaluator::baselineLva();
+            ApproxMemory::Config cfg = defaultMachine().phase1Lva();
             cfg.editApprox(
                 [&](ApproximatorConfig &a) { a.ghbEntries = ghb; });
             points.push_back(

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "eval/stat_report.hh"
+#include "sim/machine_config.hh"
 #include "util/results_dir.hh"
 #include "util/stats_json.hh"
 
@@ -75,7 +76,7 @@ TEST(StatReport, ApproxMemoryReportMatchesMetrics)
 
 TEST(StatReport, FullSystemReportMatchesResult)
 {
-    FullSystemSim sim(FullSystemConfig::lva(2));
+    FullSystemSim sim(defaultMachine().fullSystem(true, 2));
     std::vector<ThreadTrace> traces(4);
     for (u32 i = 0; i < 12; ++i) {
         TraceEvent ev;
@@ -103,7 +104,7 @@ namespace {
 std::vector<NamedSnapshot>
 sampleSnapshots()
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     reg.counter("l1.misses", "L1 misses").inc(464);
     reg.gauge("eval.mpki", "effective MPKI", "misses/kinstr").set(3.5);
     reg.histogram("lva.error", 0.0, 1.0, 4, "relative error")

@@ -25,48 +25,6 @@ TEST(Counter, IncrementAndReset)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(RunningStat, MatchesHandComputation)
-{
-    RunningStat s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.sample(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-    // Sample variance with Bessel's correction: 32 / 7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleSample)
-{
-    RunningStat s;
-    s.sample(3.5);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 3.5);
-    EXPECT_DOUBLE_EQ(s.max(), 3.5);
-}
-
-TEST(RunningStat, ResetClears)
-{
-    RunningStat s;
-    s.sample(1.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    s.sample(2.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
 TEST(Histogram, BucketsAndOverflow)
 {
     Histogram h(0.0, 10.0, 5);
@@ -122,7 +80,7 @@ TEST(Gauge, SetAddReset)
 
 TEST(StatRegistry, RegisterOrGetReturnsSameObject)
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     Counter &a = reg.counter("l1.misses", "desc");
     Counter &b = reg.counter("l1.misses");
     EXPECT_EQ(&a, &b);
@@ -137,7 +95,7 @@ TEST(StatRegistry, RegisterOrGetReturnsSameObject)
 
 TEST(StatRegistry, TypeCollisionThrows)
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     reg.counter("x.count");
     EXPECT_THROW(reg.gauge("x.count"), std::invalid_argument);
     EXPECT_THROW(reg.histogram("x.count", 0.0, 1.0, 4),
@@ -146,7 +104,7 @@ TEST(StatRegistry, TypeCollisionThrows)
 
 TEST(StatRegistry, HistogramGeometryCollisionThrows)
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     reg.histogram("lat", 0.0, 10.0, 5);
     EXPECT_THROW(reg.histogram("lat", 0.0, 20.0, 5),
                  std::invalid_argument);
@@ -156,7 +114,7 @@ TEST(StatRegistry, HistogramGeometryCollisionThrows)
 
 TEST(StatRegistry, MalformedPathThrows)
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     EXPECT_THROW(reg.counter(""), std::invalid_argument);
     EXPECT_THROW(reg.counter(".leading"), std::invalid_argument);
     EXPECT_THROW(reg.counter("trailing."), std::invalid_argument);
@@ -166,7 +124,7 @@ TEST(StatRegistry, MalformedPathThrows)
 
 TEST(StatRegistry, SnapshotIsSortedByPath)
 {
-    StatRegistry reg(0);
+    StatRegistry reg;
     reg.counter("z.last");
     reg.counter("a.first");
     reg.gauge("m.middle");
@@ -179,7 +137,7 @@ TEST(StatRegistry, SnapshotIsSortedByPath)
 
 TEST(StatSnapshot, MergeSumsCountersAndHistograms)
 {
-    StatRegistry r1(0), r2(0);
+    StatRegistry r1, r2;
     r1.counter("c").inc(10);
     r2.counter("c").inc(32);
     r1.histogram("h", 0.0, 10.0, 5).sample(1.0);
@@ -210,7 +168,7 @@ TEST(StatSnapshot, MergeIsDeterministicOverSeedOrder)
     // same per-seed snapshots in the same order twice must produce
     // identical entries, whatever thread produced them.
     auto makeSeedSnap = [](u64 seed) {
-        StatRegistry reg(0);
+        StatRegistry reg;
         reg.counter("thread0.mem.loads").inc(100 + seed);
         reg.gauge("eval.x").set(static_cast<double>(seed) * 0.5);
         reg.histogram("lat", 0.0, 4.0, 4)
@@ -233,52 +191,17 @@ TEST(StatSnapshot, MergeIsDeterministicOverSeedOrder)
 
 TEST(StatSnapshot, MergeTypeConflictThrows)
 {
-    StatRegistry r1(0), r2(0);
+    StatRegistry r1, r2;
     r1.counter("p");
     r2.gauge("p");
     StatSnapshot snap = r1.snapshot();
     EXPECT_THROW(snap.merge(r2.snapshot()), std::invalid_argument);
 
-    StatRegistry r3(0), r4(0);
+    StatRegistry r3, r4;
     r3.histogram("h", 0.0, 1.0, 4);
     r4.histogram("h", 0.0, 2.0, 4);
     StatSnapshot hs = r3.snapshot();
     EXPECT_THROW(hs.merge(r4.snapshot()), std::invalid_argument);
-}
-
-TEST(EventTracer, DisabledRecordsNothing)
-{
-    EventTracer t(0);
-    EXPECT_FALSE(t.enabled());
-    t.record("x", 1.0);
-    EXPECT_EQ(t.recorded(), 0u);
-    EXPECT_TRUE(t.drain().empty());
-}
-
-TEST(EventTracer, RingWrapKeepsNewestOldestFirst)
-{
-    EventTracer t(4);
-    for (int i = 0; i < 10; ++i)
-        t.record("e", static_cast<double>(i));
-    EXPECT_EQ(t.recorded(), 10u);
-    const auto events = t.drain();
-    ASSERT_EQ(events.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_DOUBLE_EQ(events[i].value, 6.0 + static_cast<double>(i));
-        EXPECT_EQ(events[i].seq, 6u + i);
-    }
-    // drain() clears the ring.
-    EXPECT_TRUE(t.drain().empty());
-}
-
-TEST(StatRegistry, TraceRoutesThroughRegistryTracer)
-{
-    StatRegistry reg(8);
-    reg.trace("lva.approx", 3.25);
-    const auto events = reg.tracer().drain();
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].path, "lva.approx");
-    EXPECT_DOUBLE_EQ(events[0].value, 3.25);
 }
 
 } // namespace

@@ -18,7 +18,7 @@ main(int argc, char **argv)
     // Fixed, cheap, deterministic grid: one workload, four degrees.
     std::vector<SweepPoint> points;
     for (const u32 degree : {0u, 2u, 4u, 8u}) {
-        ApproxMemory::Config cfg = Evaluator::baselineLva();
+        ApproxMemory::Config cfg = defaultMachine().phase1Lva();
         cfg.approx.approxDegree = degree;
         points.push_back(
             {"deg" + std::to_string(degree), "canneal", cfg});

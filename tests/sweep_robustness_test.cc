@@ -40,11 +40,11 @@ std::vector<SweepPoint>
 threeCannealPoints()
 {
     std::vector<SweepPoint> points;
-    points.push_back({"lva", "canneal", Evaluator::baselineLva()});
-    ApproxMemory::Config deg4 = Evaluator::baselineLva();
+    points.push_back({"lva", "canneal", defaultMachine().phase1Lva()});
+    ApproxMemory::Config deg4 = defaultMachine().phase1Lva();
     deg4.approx.approxDegree = 4;
     points.push_back({"deg4", "canneal", deg4});
-    ApproxMemory::Config deg8 = Evaluator::baselineLva();
+    ApproxMemory::Config deg8 = defaultMachine().phase1Lva();
     deg8.approx.approxDegree = 8;
     points.push_back({"deg8", "canneal", deg8});
     return points;
@@ -116,7 +116,7 @@ TEST_F(RobustSweepTest, RetryRecoversTransientFaultAndCountsAttempts)
     Evaluator eval(1, 0.05);
     SweepRunner runner(eval, 1);
     const SweepOutcome outcome = runner.runChecked(
-        {{"lva", "canneal", Evaluator::baselineLva()}},
+        {{"lva", "canneal", defaultMachine().phase1Lva()}},
         plainOptions(3));
 
     EXPECT_TRUE(outcome.ok());
@@ -131,7 +131,7 @@ TEST_F(RobustSweepTest, CleanPointReportsOneAttempt)
     Evaluator eval(1, 0.05);
     SweepRunner runner(eval, 1);
     const SweepOutcome outcome = runner.runChecked(
-        {{"lva", "canneal", Evaluator::baselineLva()}},
+        {{"lva", "canneal", defaultMachine().phase1Lva()}},
         plainOptions());
     ASSERT_TRUE(outcome.ok());
     const StatSnapshot &stats = outcome.results[0].stats;
@@ -145,7 +145,7 @@ TEST_F(RobustSweepTest, RetryExhaustionReportsAttemptsConsumed)
     Evaluator eval(1, 0.05);
     SweepRunner runner(eval, 1);
     const SweepOutcome outcome = runner.runChecked(
-        {{"lva", "canneal", Evaluator::baselineLva()}},
+        {{"lva", "canneal", defaultMachine().phase1Lva()}},
         plainOptions(2));
     ASSERT_EQ(outcome.failures.size(), 1u);
     EXPECT_EQ(outcome.failures[0].attempts, 2u);
@@ -216,7 +216,7 @@ TEST_F(RobustSweepTest, EvalResultEncodingRoundTripsExactly)
 {
     Evaluator eval(1, 0.05);
     const EvalResult r =
-        eval.evaluate("canneal", Evaluator::baselineLva());
+        eval.evaluate("canneal", defaultMachine().phase1Lva());
 
     const std::string encoded = encodeEvalResult(r);
     const EvalResult back = decodeEvalResult(parseJson(encoded));
@@ -251,7 +251,7 @@ TEST_F(RobustSweepTest, FailuresSectionRendersAndEmptyIsByteCompatible)
 {
     Evaluator eval(1, 0.05);
     const EvalResult r =
-        eval.evaluate("canneal", Evaluator::baselineLva());
+        eval.evaluate("canneal", defaultMachine().phase1Lva());
     const std::vector<NamedSnapshot> snaps = {
         {"lva", "canneal", r.stats}};
 
@@ -374,7 +374,7 @@ TEST_F(CheckpointSweepTest, ResumeRerunsOnlyTheFailedPoint)
 TEST_F(CheckpointSweepTest, ResumeIgnoresManifestFromOtherContext)
 {
     const std::vector<SweepPoint> points = {
-        {"lva", "canneal", Evaluator::baselineLva()}};
+        {"lva", "canneal", defaultMachine().phase1Lva()}};
     SweepOptions opts = plainOptions();
     opts.driver = "robust_ctx";
     opts.checkpoint = true;

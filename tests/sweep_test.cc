@@ -49,9 +49,9 @@ allWorkloadPoints()
 {
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
-        points.push_back({"lva", name, Evaluator::baselineLva()});
+        points.push_back({"lva", name, defaultMachine().phase1Lva()});
 
-        ApproxMemory::Config deg8 = Evaluator::baselineLva();
+        ApproxMemory::Config deg8 = defaultMachine().phase1Lva();
         deg8.approx.approxDegree = 8;
         points.push_back({"deg8", name, deg8});
     }
@@ -101,7 +101,7 @@ TEST(SweepRunner, ConcurrentPointsShareOneGoldenRun)
     Evaluator eval(1, 0.05);
     std::vector<SweepPoint> points;
     for (int i = 0; i < 8; ++i)
-        points.push_back({"lva", "canneal", Evaluator::baselineLva()});
+        points.push_back({"lva", "canneal", defaultMachine().phase1Lva()});
 
     SweepRunner runner(eval, 4);
     const std::vector<EvalResult> results = runner.run(points);
@@ -117,7 +117,7 @@ TEST(SweepRunner, SerialRunnerUsesNoPool)
     SweepRunner runner(eval, 1);
     EXPECT_EQ(runner.jobs(), 1u);
     const auto out =
-        runner.run({{"precise", "x264", Evaluator::preciseConfig()}});
+        runner.run({{"precise", "x264", defaultMachine().phase1Precise()}});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NEAR(out[0].normMpki, 1.0, 1e-9);
 }
@@ -152,8 +152,8 @@ TEST(SweepRunner, StatsJsonExportIsJobCountInvariant)
     namespace fs = std::filesystem;
     std::vector<SweepPoint> points;
     for (const auto &name : {"canneal", "x264"}) {
-        points.push_back({"lva", name, Evaluator::baselineLva()});
-        ApproxMemory::Config deg4 = Evaluator::baselineLva();
+        points.push_back({"lva", name, defaultMachine().phase1Lva()});
+        ApproxMemory::Config deg4 = defaultMachine().phase1Lva();
         deg4.approx.approxDegree = 4;
         points.push_back({"deg4", name, deg4});
     }

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "cpu/trace_io.hh"
 #include "sim/full_system.hh"
+#include "sim/machine_config.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace lva {
@@ -92,6 +96,36 @@ TEST(TraceIo, EmptyThreadsSurvive)
     std::filesystem::remove(path);
 }
 
+TEST(TraceIo, OversizedEventCountIsRejectedBeforeAllocating)
+{
+    // A hand-written header: magic, one thread, 2^40 events (32 TiB of
+    // records) and a single record behind it. The loader must refuse
+    // the count against the bytes left, naming the file, instead of
+    // reserving the claimed size.
+    const std::string path = "test_trace_oversized.bin";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write("LVATRC1\n", 8);
+        const u32 threads = 1;
+        const u64 count = u64(1) << 40;
+        out.write(reinterpret_cast<const char *>(&threads), sizeof(threads));
+        out.write(reinterpret_cast<const char *>(&count), sizeof(count));
+        out.write(std::string(32, '\0').data(), 32);
+    }
+    ScopedFailureIsolation isolate;
+    try {
+        readTraces(path);
+        ADD_FAILURE() << "oversized count was accepted";
+    } catch (const IsolatedError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("1099511627776 events"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove(path);
+}
+
 TEST(TraceIo, ReplayOfLoadedTraceMatchesOriginal)
 {
     const std::string path = "test_trace_replay.bin";
@@ -99,8 +133,8 @@ TEST(TraceIo, ReplayOfLoadedTraceMatchesOriginal)
     writeTraces(traces, path);
     const auto back = readTraces(path);
 
-    FullSystemSim a(FullSystemConfig::lva(2));
-    FullSystemSim b(FullSystemConfig::lva(2));
+    FullSystemSim a(defaultMachine().fullSystem(true, 2));
+    FullSystemSim b(defaultMachine().fullSystem(true, 2));
     const FullSystemResult ra = a.run(traces);
     const FullSystemResult rb = b.run(back);
     EXPECT_DOUBLE_EQ(ra.cycles, rb.cycles);

@@ -37,9 +37,9 @@ grid()
 {
     std::vector<SweepPoint> points;
     for (const auto &name : allWorkloadNames()) {
-        points.push_back({"precise", name, Evaluator::preciseConfig()});
-        points.push_back({"lva", name, Evaluator::baselineLva()});
-        ApproxMemory::Config deg8 = Evaluator::baselineLva();
+        points.push_back({"precise", name, defaultMachine().phase1Precise()});
+        points.push_back({"lva", name, defaultMachine().phase1Lva()});
+        ApproxMemory::Config deg8 = defaultMachine().phase1Lva();
         deg8.approx.approxDegree = 8;
         points.push_back({"deg8", name, deg8});
     }

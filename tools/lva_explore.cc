@@ -258,11 +258,10 @@ main(int argc, char **argv)
                                  axes[i].label.c_str() + prefix.size());
                     return 2;
                 }
-    } else if (opt.sweep.machine) {
-        axes.push_back({prefix + opt.sweep.machine->name,
-                        opt.sweep.machine->phase1Lva()});
     } else {
-        axes.push_back({"explore", Evaluator::baselineLva()});
+        axes.push_back({opt.sweep.machine ? prefix + opt.sweep.machine->name
+                                          : std::string("explore"),
+                        sweepMachine(opt.sweep).phase1Lva()});
     }
     for (Axis &axis : axes)
         for (const auto &edit : opt.edits)

@@ -115,10 +115,11 @@ main(int argc, char **argv)
     // register the same schema today, but take the union anyway so a
     // config-gated stat added later still shows up.
     {
-        const FullSystemSim base(FullSystemConfig::baseline());
+        const MachineConfig &machine = defaultMachine();
+        const FullSystemSim base(machine.fullSystem(/*lvaEnabled=*/false));
         appendSnapshot(rows, base.registry().snapshot());
 
-        FullSystemConfig lva_cfg = FullSystemConfig::lva(4);
+        FullSystemConfig lva_cfg = machine.fullSystem(/*lvaEnabled=*/true, 4);
         lva_cfg.heteroNoc = true;
         const FullSystemSim lva_sim(lva_cfg);
         appendSnapshot(rows, lva_sim.registry().snapshot());

@@ -458,8 +458,8 @@ main(int argc, char **argv)
         // embedded "machine" member, so the local plan/digest/merge
         // view of each point matches the worker's exactly.
         points = sweepPointsFromJson(
-            pointsJson, opt.machine ? opt.machine->phase1Lva()
-                                    : Evaluator::baselineLva());
+            pointsJson,
+            (opt.machine ? *opt.machine : defaultMachine()).phase1Lva());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "lva_sweep_coord: bad points file %s: %s\n",
                      opt.pointsFile.c_str(), e.what());

@@ -142,13 +142,10 @@ cmdReplay(int argc, char **argv)
     }
 
     const auto traces = readTraces(argv[2]);
-    FullSystemConfig cfg;
-    if (machineFile != nullptr)
-        cfg = loadMachineOrDie(machineFile)
-                  .fullSystem(/*lvaEnabled=*/!precise, degree);
-    else
-        cfg = precise ? FullSystemConfig::baseline()
-                      : FullSystemConfig::lva(degree);
+    FullSystemConfig cfg =
+        (machineFile != nullptr ? loadMachineOrDie(machineFile)
+                                : defaultMachine())
+            .fullSystem(/*lvaEnabled=*/!precise, degree);
     if (hetero) // the flag forces it on top of the machine file
         cfg.heteroNoc = true;
     if (traces.size() != cfg.cores) {
