@@ -5,22 +5,19 @@
  * baseline and LVA at degrees 0 and 16. Useful when validating the
  * timing model or exploring configurations.
  *
- * Usage: fsdiag [--stats] [workload ...]   (default: all)
+ * Usage: fsdiag [workload ...]   (default: all)
  *
- * With --stats, gem5-style statistics files are written to
- * results/stats/<workload>_<config>.txt for every replay.
+ * Every replay's full statistics land in results/stats/fsdiag.json
+ * (lva-stats-v1), one point per workload and configuration.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "eval/fullsystem_eval.hh"
-#include "eval/stat_report.hh"
 #include "eval/sweep.hh"
 #include "util/bench_timer.hh"
-#include "util/results_dir.hh"
 #include "util/table.hh"
 #include "workloads/workload.hh"
 
@@ -52,21 +49,20 @@ main(int argc, char **argv)
 {
     using namespace lva;
 
-    bool stats = false;
-    std::vector<std::string> names;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--stats"))
-            stats = true;
-        else
-            names.push_back(argv[i]);
+    std::vector<std::string> names(argv + 1, argv + argc);
+    for (const std::string &name : names) {
+        if (name.empty() || name[0] == '-') {
+            std::fprintf(stderr, "usage: %s [workload ...]\n", argv[0]);
+            return 2;
+        }
     }
     if (names.empty())
         names = allWorkloadNames();
 
     BenchTimer timer("fsdiag");
-    // fsdiag has its own CLI (--stats, workload names), so the
-    // robustness knobs — and the machine, via LVA_MACHINE — arrive
-    // through the environment only.
+    // fsdiag's CLI is the workload list, so the robustness knobs —
+    // and the machine, via LVA_MACHINE — arrive through the
+    // environment only.
     SweepOptions opts;
     opts.driver = "fsdiag";
     opts = resolveSweepOptions(opts);
@@ -93,21 +89,6 @@ main(int argc, char **argv)
         addRow(t, "lva-0", sweep.lva[0]);
         addRow(t, "lva-16", sweep.lva[1]);
         t.print("fsdiag: " + name);
-
-        if (stats) {
-            reportFullSystem(sweep.baseline, name + ".precise")
-                .writeFile(
-                    resultsPath("stats/" + name + "_precise.txt"));
-            reportFullSystem(sweep.lva[0], name + ".lva0")
-                .writeFile(resultsPath("stats/" + name + "_lva0.txt"));
-            reportFullSystem(sweep.lva[1], name + ".lva16")
-                .writeFile(
-                    resultsPath("stats/" + name + "_lva16.txt"));
-            std::printf(
-                "wrote %s\n",
-                resultsPath("stats/" + name + "_{precise,lva0,lva16}.txt")
-                    .c_str());
-        }
     }
     std::printf("wrote %s\n",
                 writeStatsJson("fsdiag", fsSweepSnapshots(sweeps),

@@ -15,9 +15,8 @@
  * copies it to the repo-root BENCH_hotpath.json, so every PR extends
  * the trajectory.  Wall-clock numbers vary by host, but each
  * scenario's "value_digest" is a deterministic fold of every value
- * the memory system returned: scenarios that must be value-identical
- * (scalar vs batched) are asserted equal right here, and refactors
- * can diff digests against a baseline run.
+ * the memory system returned: every repetition must reproduce it,
+ * and refactors can diff digests against a baseline run.
  *
  * LVA_HOTPATH_LOADS scales the timed loop (default 4,000,000 loads
  * per scenario; CI uses a small value for a schema smoke test).
@@ -26,7 +25,6 @@
  * hosts; every repetition must produce the identical value_digest.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +35,7 @@
 #include "util/logging.hh"
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "util/bench_timer.hh"
 #include "util/checkpoint.hh"
 #include "util/env_knob.hh"
@@ -156,44 +155,9 @@ replayScalar(MemoryBackend &mem, const std::vector<Access> &stream,
     return digest;
 }
 
-/**
- * Replay the same @p n loads through the batched loadMany() entry in
- * runs of 16. loadMany processes requests in array order, so the
- * digest must match replayScalar's exactly (asserted in main).
- */
-u64
-replayBatched(MemoryBackend &mem, const std::vector<Access> &stream,
-              u64 n, u64 digest)
-{
-    constexpr u32 kBatch = 16;
-    const u32 mask = kStreamLen - 1;
-    LoadRequest reqs[kBatch];
-    Value got[kBatch];
-    u64 i = 0;
-    while (i < n) {
-        const u32 m =
-            static_cast<u32>(std::min<u64>(kBatch, n - i));
-        for (u32 j = 0; j < m; ++j) {
-            const Access &a = stream[static_cast<u32>(i + j) & mask];
-            reqs[j].addr = a.addr;
-            reqs[j].precise = a.precise;
-            reqs[j].pc = a.pc;
-            reqs[j].tid = a.tid;
-            reqs[j].approximable = a.approximable;
-            reqs[j].dependent = false;
-        }
-        mem.loadMany(reqs, got, m);
-        for (u32 j = 0; j < m; ++j)
-            digest = foldWord(digest, got[j].bits());
-        i += m;
-    }
-    return digest;
-}
-
 ScenarioResult
 runScenario(const std::string &name, const ApproxMemory::Config &cfg,
-            const std::vector<Access> &stream, u64 n, u32 reps,
-            bool batched = false)
+            const std::vector<Access> &stream, u64 n, u32 reps)
 {
     ScenarioResult out;
     out.name = name;
@@ -204,12 +168,11 @@ runScenario(const std::string &name, const ApproxMemory::Config &cfg,
         // state, so every repetition must produce the same digest.
         ApproxMemory mem(cfg);
         MemoryBackend &backend = mem; // the workload-facing boundary
-        auto replay = batched ? replayBatched : replayScalar;
-        replay(backend, stream, kWarmupLoads, 0);
+        replayScalar(backend, stream, kWarmupLoads, 0);
 
         BenchTimer timer("hotpath_loads/" + name);
         const u64 digest =
-            replay(backend, stream, n, 0xcbf29ce484222325ULL);
+            replayScalar(backend, stream, n, 0xcbf29ce484222325ULL);
         const double secs = timer.seconds();
         mem.finish();
 
@@ -273,28 +236,19 @@ main()
     BenchTimer timer("hotpath_loads");
     const u64 n = timedLoads();
     const u32 reps = repetitions();
-    const std::vector<Access> stream = buildStream(4);
-
-    ApproxMemory::Config precise;
-    precise.mode = MemMode::Precise;
-
-    ApproxMemory::Config lva; // full mechanism, every feature hot
-    lva.mode = MemMode::Lva;
+    const ApproxMemory::Config precise = defaultMachine().phase1Precise();
+    ApproxMemory::Config lva = defaultMachine().phase1Lva(); // all hot
     lva.approx.ghbEntries = 2;
     lva.approx.valueDelay = 4;
     lva.approx.approxDegree = 2;
+
+    const std::vector<Access> stream = buildStream(lva.threads);
 
     std::vector<ScenarioResult> scenarios;
     scenarios.push_back(
         runScenario("precise_scalar", precise, stream, n, reps));
     scenarios.push_back(
         runScenario("lva_scalar", lva, stream, n, reps));
-    scenarios.push_back(runScenario("lva_batched", lva, stream, n,
-                                    reps, /*batched=*/true));
-    lva_assert(scenarios[2].valueDigest == scenarios[1].valueDigest,
-               "batched replay diverged from scalar (%s vs %s)",
-               scenarios[2].valueDigest.c_str(),
-               scenarios[1].valueDigest.c_str());
 
     std::printf("\n%-18s %14s %12s  %s\n", "scenario", "loads/sec",
                 "seconds", "value_digest");

@@ -192,19 +192,8 @@ ApproxMemory::loadDirect(ThreadId tid, LoadSiteId pc, Addr addr,
     return precise;
 }
 
-void
-ApproxMemory::loadManyDirect(const LoadRequest *reqs, Value *out,
-                             u32 n)
-{
-    for (u32 i = 0; i < n; ++i) {
-        const LoadRequest &r = reqs[i];
-        out[i] = loadDirect(r.tid, r.pc, r.addr, r.precise,
-                            r.approximable, r.dependent);
-    }
-}
-
 /**
- * The sealed dispatchers live in this translation unit, next to
+ * The sealed dispatcher lives in this translation unit, next to
  * loadDirect, so the compiler inlines the ApproxMemory fast path into
  * them: the common per-load flow is one direct (non-virtual) call from
  * the workload, with no indirect branch. Generic backends take the
@@ -225,27 +214,6 @@ MemoryBackend::load(ThreadId tid, LoadSiteId pc, Addr addr,
         break;
     }
     return loadVirtual(tid, pc, addr, precise, approximable, dependent);
-}
-
-void
-MemoryBackend::loadMany(const LoadRequest *reqs, Value *out, u32 n)
-{
-    switch (kind()) {
-      case BackendKind::Approx:
-        static_cast<ApproxMemory *>(this)->loadManyDirect(reqs, out, n);
-        return;
-      case BackendKind::Null:
-        for (u32 i = 0; i < n; ++i)
-            out[i] = reqs[i].precise;
-        return;
-      case BackendKind::Generic:
-        break;
-    }
-    for (u32 i = 0; i < n; ++i) {
-        const LoadRequest &r = reqs[i];
-        out[i] = loadVirtual(r.tid, r.pc, r.addr, r.precise,
-                             r.approximable, r.dependent);
-    }
 }
 
 // lva-hot-path: end

@@ -107,10 +107,12 @@ struct LaneCounters
 class ApproxMemory : public MemoryBackend
 {
   public:
+    /** Built by projecting a machine (MachineConfig::phase1Config),
+     *  which sets threads and cache; threads = 0 fails construction. */
     struct Config
     {
-        u32 threads = 4;
-        CacheConfig cache = CacheConfig::pinL1();
+        u32 threads = 0;
+        CacheConfig cache;
         MemMode mode = MemMode::Lva;
         ApproximatorConfig approx{};
         GhbPrefetcherConfig prefetch{};
@@ -151,9 +153,6 @@ class ApproxMemory : public MemoryBackend
     Value loadDirect(ThreadId tid, LoadSiteId pc, Addr addr,
                      const Value &precise, bool approximable,
                      bool dependent = false);
-
-    /** A run of loads, in array order (see MemoryBackend::loadMany). */
-    void loadManyDirect(const LoadRequest *reqs, Value *out, u32 n);
 
     // MemoryBackend interface
     void store(ThreadId tid, LoadSiteId pc, Addr addr) override;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Builders that flatten every component's counters into a StatDump —
- * the library's equivalent of gem5's stats.txt.
+ * The versioned lva-stats-v1 JSON export: one labelled registry
+ * snapshot per sweep point, rendered byte-deterministically and
+ * written under <resultsDir()>/stats/.
  */
 
 #ifndef LVA_EVAL_STAT_REPORT_HH
@@ -10,44 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "core/approx_memory.hh"
-#include "sim/full_system.hh"
-#include "util/stat_dump.hh"
 #include "util/stat_registry.hh"
 
 namespace lva {
 
 struct PointFailure; // eval/sweep.hh
-
-/** Append one cache's counters under @p prefix. */
-void appendCacheStats(StatDump &dump, const std::string &prefix,
-                      const CacheStats &stats);
-
-/** Append one approximator's counters under @p prefix. */
-void appendApproximatorStats(StatDump &dump, const std::string &prefix,
-                             const ApproximatorStats &stats);
-
-/** Append a phase-1 run's aggregate metrics under @p prefix. */
-void appendMemMetrics(StatDump &dump, const std::string &prefix,
-                      const MemMetrics &metrics);
-
-/**
- * Full phase-1 report: aggregate metrics plus per-thread cache and
- * mechanism breakdowns.
- */
-StatDump reportApproxMemory(const ApproxMemory &mem,
-                            const std::string &prefix = "phase1");
-
-/** Full phase-2 report for one timing replay. */
-StatDump reportFullSystem(const FullSystemResult &result,
-                          const std::string &prefix = "system");
-
-/**
- * Flatten a registry snapshot into a StatDump under @p prefix.
- * Histograms contribute "<path>.total", ".underflow" and ".overflow".
- */
-void appendSnapshot(StatDump &dump, const std::string &prefix,
-                    const StatSnapshot &snap);
 
 /** One sweep point's snapshot, labelled for the JSON export. */
 struct NamedSnapshot

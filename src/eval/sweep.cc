@@ -43,18 +43,27 @@ loadMachineOrDie(const std::string &path)
     }
 }
 
-/** Strict decimal CLI-operand parse; exits(2) on junk. */
-u64
-cliU64(const std::string &flag, const char *text)
+/** The drivers' shared CLI usage; exits 2. */
+[[noreturn]] void
+sweepCliUsage(const std::string &driver)
 {
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "error: %s expects a decimal count, got "
-                     "'%s'\n", flag.c_str(), text);
-        std::exit(2);
-    }
-    return static_cast<u64>(parsed);
+    std::fprintf(stderr,
+                 "usage: %s [--checkpoint] [--resume] "
+                 "[--retries N] [--timeout-ms N] "
+                 "[--machine FILE]\n"
+                 "  --checkpoint   record completed points in "
+                 "a resumable manifest\n"
+                 "  --resume       skip points already in the "
+                 "manifest (implies --checkpoint)\n"
+                 "  --retries N    re-attempt a failed point "
+                 "up to N times (0-99)\n"
+                 "  --timeout-ms N abandon a point not done "
+                 "within N ms (needs LVA_JOBS >= 2)\n"
+                 "  --machine FILE run on the lva-machine-v1 "
+                 "topology in FILE (docs/topology.md; also "
+                 "LVA_MACHINE)\n",
+                 driver.c_str());
+    std::exit(2);
 }
 
 /**
@@ -161,42 +170,29 @@ sweepOptionsFromCli(const std::string &driver, int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto operand = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs an operand\n",
-                             arg.c_str());
-                std::exit(2);
-            }
+            if (i + 1 >= argc)
+                sweepCliUsage(driver);
             return argv[++i];
+        };
+        // Same ranges as the LVA_RETRIES / LVA_POINT_TIMEOUT_MS knobs.
+        auto count = [&](u64 hi) {
+            const std::optional<u64> v = parseU64(operand(), 0, hi);
+            if (!v)
+                sweepCliUsage(driver);
+            return *v;
         };
         if (arg == "--checkpoint") {
             opts.checkpoint = true;
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--retries") {
-            opts.maxAttempts =
-                static_cast<u32>(cliU64(arg, operand()) + 1);
+            opts.maxAttempts = static_cast<u32>(count(99) + 1);
         } else if (arg == "--timeout-ms") {
-            opts.timeoutMs = cliU64(arg, operand());
+            opts.timeoutMs = count(86400000);
         } else if (arg == "--machine") {
             opts.machine = loadMachineOrDie(operand());
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--checkpoint] [--resume] "
-                         "[--retries N] [--timeout-ms N] "
-                         "[--machine FILE]\n"
-                         "  --checkpoint   record completed points in "
-                         "a resumable manifest\n"
-                         "  --resume       skip points already in the "
-                         "manifest (implies --checkpoint)\n"
-                         "  --retries N    re-attempt a failed point "
-                         "up to N times\n"
-                         "  --timeout-ms N abandon a point not done "
-                         "within N ms (needs LVA_JOBS >= 2)\n"
-                         "  --machine FILE run on the lva-machine-v1 "
-                         "topology in FILE (docs/topology.md; also "
-                         "LVA_MACHINE)\n",
-                         driver.c_str());
-            std::exit(2);
+            sweepCliUsage(driver);
         }
     }
     return resolveSweepOptions(opts);

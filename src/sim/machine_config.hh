@@ -20,9 +20,9 @@
  * swept knob through ApproxMemory::Config::editApprox.
  *
  * The schema is documented key-by-key in docs/topology.md, whose
- * marker-delimited table scripts/check_docs.sh diffs two-way against
+ * marker-delimited table machine_config_test compares two ways with
  * machineSchemaKeys(); adding a key here without a docs row (or vice
- * versa) fails the build gate.
+ * versa) fails ctest.
  */
 
 #ifndef LVA_SIM_MACHINE_CONFIG_HH
@@ -142,9 +142,8 @@ std::string renderMachineJson(const MachineConfig &m);
 
 /**
  * The flat (dotted) key list of the machine schema, in schema
- * (docs-table) order — the
- * source of truth behind `lva_stats_catalog --machine-schema` and the
- * docs/topology.md table gate.
+ * (docs-table) order — the source of truth the docs/topology.md
+ * table is checked against.
  */
 const std::vector<std::string> &machineSchemaKeys();
 

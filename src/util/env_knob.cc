@@ -1,6 +1,7 @@
 #include "util/env_knob.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -20,30 +21,47 @@ knobValue(const char *name)
 
 } // namespace
 
+std::optional<u64>
+parseU64(const char *text, u64 lo, u64 hi)
+{
+    // Digit first: strtoull would skip whitespace and happily wrap
+    // "-1" to 2^64-1, exactly the silent coercion this exists to kill.
+    if (text == nullptr ||
+        !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v < lo || v > hi)
+        return std::nullopt;
+    return static_cast<u64>(v);
+}
+
+std::optional<double>
+parseF64(const char *text, double lo, double hi)
+{
+    if (text == nullptr || *text == '\0' ||
+        std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || !(v >= lo) || !(v <= hi))
+        return std::nullopt;
+    return v;
+}
+
 u64
 envKnobU64(const char *name, u64 fallback, u64 lo, u64 hi)
 {
     const char *env = knobValue(name);
     if (env == nullptr)
         return fallback;
-    // Leading signs and whitespace are rejected up front: strtoull
-    // happily wraps "-1" to 2^64-1, which is exactly the silent
-    // coercion this helper exists to kill.
-    if (!std::isdigit(static_cast<unsigned char>(env[0]))) {
-        lva_warn("ignoring bad %s='%s' (want a decimal in [%llu, %llu])",
-                 name, env, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-        return fallback;
-    }
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v < lo || v > hi) {
-        lva_warn("ignoring bad %s='%s' (want a decimal in [%llu, %llu])",
-                 name, env, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-        return fallback;
-    }
-    return static_cast<u64>(v);
+    if (const std::optional<u64> v = parseU64(env, lo, hi))
+        return *v;
+    lva_warn("ignoring bad %s='%s' (want a decimal in [%llu, %llu])",
+             name, env, static_cast<unsigned long long>(lo),
+             static_cast<unsigned long long>(hi));
+    return fallback;
 }
 
 double
@@ -52,14 +70,11 @@ envKnobF64(const char *name, double fallback, double lo, double hi)
     const char *env = knobValue(name);
     if (env == nullptr)
         return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || *end != '\0' || !(v >= lo) || !(v <= hi)) {
-        lva_warn("ignoring bad %s='%s' (want a number in [%g, %g])",
-                 name, env, lo, hi);
-        return fallback;
-    }
-    return v;
+    if (const std::optional<double> v = parseF64(env, lo, hi))
+        return *v;
+    lva_warn("ignoring bad %s='%s' (want a number in [%g, %g])", name,
+             env, lo, hi);
+    return fallback;
 }
 
 } // namespace lva

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared strict parsing for LVA_* environment knobs.
+ * Shared strict parsing for LVA_* environment knobs and numeric
+ * command-line flags.
  *
  * Every numeric knob used to hand-roll its own getenv + strtol (or
  * worse, atoi), so "LVA_FLEET_SIZE=2x" silently became 2 and
@@ -19,24 +20,35 @@
 #ifndef LVA_UTIL_ENV_KNOB_HH
 #define LVA_UTIL_ENV_KNOB_HH
 
+#include <optional>
+
 #include "util/types.hh"
 
 namespace lva {
 
 /**
+ * Strict unsigned decimal: pure digits (no sign, whitespace, hex or
+ * trailing junk) in [@p lo, @p hi], else std::nullopt. Behind
+ * envKnobU64 and every numeric tool flag.
+ */
+std::optional<u64> parseU64(const char *text, u64 lo, u64 hi);
+
+/** Strict float: a full strtod parse in [@p lo, @p hi], no
+ *  surrounding whitespace or junk, never NaN; else std::nullopt. */
+std::optional<double> parseF64(const char *text, double lo, double hi);
+
+/**
  * Read an unsigned integer knob.
  *
- * Unset or empty returns @p fallback silently.  A set value must be
- * pure decimal digits (no sign, no hex, no trailing characters) and
- * lie in [@p lo, @p hi]; anything else warns once per call and
+ * Unset or empty returns @p fallback silently.  A set value must pass
+ * parseU64 over [@p lo, @p hi]; anything else warns once per call and
  * returns @p fallback.
  */
 u64 envKnobU64(const char *name, u64 fallback, u64 lo, u64 hi);
 
 /**
- * Read a floating-point knob.  Same contract as envKnobU64: strict
- * strtod parse (no trailing characters), range-checked against
- * [@p lo, @p hi], warn + fallback on anything malformed.
+ * Read a floating-point knob.  Same contract as envKnobU64, with
+ * parseF64 over [@p lo, @p hi].
  */
 double envKnobF64(const char *name, double fallback, double lo,
                   double hi);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 
 namespace lva {
 namespace {
@@ -15,10 +16,9 @@ namespace {
 ApproxMemory::Config
 lvaConfig()
 {
-    ApproxMemory::Config cfg;
+    ApproxMemory::Config cfg = defaultMachine().phase1Lva();
     cfg.threads = 2;
     cfg.cache = CacheConfig{1024, 2, 64};
-    cfg.mode = MemMode::Lva;
     cfg.approx.ghbEntries = 0;
     cfg.approx.valueDelay = 0;
     return cfg;

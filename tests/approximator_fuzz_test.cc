@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "util/random.hh"
 
 namespace lva {
@@ -107,7 +108,7 @@ TEST_P(ApproximatorFuzz, InvariantsHoldUnderRandomTraffic)
 TEST_P(ApproximatorFuzz, MemoryFrontEndConservation)
 {
     Rng rng(GetParam() * 131 + 7);
-    ApproxMemory::Config cfg;
+    ApproxMemory::Config cfg = defaultMachine().phase1Lva();
     cfg.threads = 1 + static_cast<u32>(rng.below(4));
     cfg.cache = CacheConfig{
         u64(1024) << rng.below(4), // 1-8 KB

@@ -63,7 +63,9 @@ TEST(AuditCatalog, ListsEveryRuleExactlyOnce)
         lva::audit::kStatUndocumented, lva::audit::kStatStaleDoc,
         lva::audit::kFaultUnknownSite, lva::audit::kFaultOrphanSite,
         lva::audit::kKnobUndocumented, lva::audit::kKnobStaleDoc,
-        lva::audit::kKnobUnvalidated,  lva::audit::kLockCycle,
+        lva::audit::kKnobUnvalidated,  lva::audit::kDriverUndocumented,
+        lva::audit::kDriverStaleDoc,   lva::audit::kHotPathUndocumented,
+        lva::audit::kHotPathStaleDoc,  lva::audit::kLockCycle,
         lva::audit::kLockWaitHeld,     lva::audit::kStaleBaseline,
         lva::lint::kBadAllowFence};
     EXPECT_EQ(ids, expected);
@@ -127,6 +129,29 @@ TEST(AuditKnobs, UnvalidatedUndocumentedStaleAndFenceFire)
             {"src/core/knobs.cc", 12, lva::audit::kKnobUnvalidated},
             {"README.md", 8, lva::audit::kKnobStaleDoc},
             {"src/core/fence.cc", 2, lva::lint::kBadAllowFence},
+        };
+    EXPECT_EQ(hits(findings), expected);
+}
+
+TEST(AuditDrivers, UndocumentedDriverAndStaleRowFire)
+{
+    // bench/common/helper.cc is not a driver.
+    const auto findings = runAudit(fixtureProject("drivers"));
+    const std::multiset<std::tuple<std::string, int, std::string>>
+        expected = {
+            {"bench/fig_rogue.cc", 1, lva::audit::kDriverUndocumented},
+            {"docs/reproducing.md", 8, lva::audit::kDriverStaleDoc},
+        };
+    EXPECT_EQ(hits(findings), expected);
+}
+
+TEST(AuditHotPath, UndocumentedFenceAndStaleRowFire)
+{
+    const auto findings = runAudit(fixtureProject("hotpath"));
+    const std::multiset<std::tuple<std::string, int, std::string>>
+        expected = {
+            {"src/core/rogue.cc", 3, lva::audit::kHotPathUndocumented},
+            {"docs/performance.md", 8, lva::audit::kHotPathStaleDoc},
         };
     EXPECT_EQ(hits(findings), expected);
 }

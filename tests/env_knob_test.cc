@@ -1,7 +1,8 @@
 /**
  * @file
- * Rejection tests for the shared strict env-knob parse
- * (util/env_knob.hh) and its resolveServeOptions consumers.  Each
+ * Rejection tests for the shared strict parsers (util/env_knob.hh):
+ * parseU64/parseF64 as the tool flags use them, the env knobs built
+ * on them, and their resolveServeOptions consumers.  Each
  * malformed value must warn and fall back to the documented default
  * — never be silently coerced the way the old atoi/strtol readers
  * coerced "2x" to 2 or wrapped "-1" to a huge unsigned.
@@ -12,6 +13,8 @@
  */
 
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,35 @@ namespace {
 
 using lva::envKnobF64;
 using lva::envKnobU64;
+using lva::parseF64;
+using lva::parseU64;
+
+// The env-knob cases below run through the same parsers; these add
+// the values the tool flags see.
+TEST(ParseU64, ToolFlagValues)
+{
+    EXPECT_EQ(parseU64("0", 0, 65535), 0u); // --port 0: ephemeral
+    EXPECT_EQ(parseU64("65535", 0, 65535), 65535u);
+    // --port 70000 once became port 4464 through a u16 cast, and
+    // --workers -1 became 2^32-1.
+    EXPECT_FALSE(parseU64("70000", 0, 65535));
+    EXPECT_FALSE(parseU64("-1", 0, 256));
+    EXPECT_FALSE(parseU64(nullptr, 0, 256));
+    // Past 2^64 strtoull saturates with ERANGE; no range admits it.
+    EXPECT_FALSE(parseU64("99999999999999999999999", 0,
+                          std::numeric_limits<lva::u64>::max()));
+}
+
+TEST(ParseF64, ToolFlagValues)
+{
+    // Scale flags are often written with std::to_string(double).
+    EXPECT_DOUBLE_EQ(*parseF64(std::to_string(0.05).c_str(), 0.0, 4.0),
+                     0.05);
+    EXPECT_FALSE(parseF64(" 0.5", 0.0, 4.0));
+    EXPECT_FALSE(parseF64("", 0.0, 4.0));
+    EXPECT_FALSE(parseF64("inf", 0.0, 4.0));
+    EXPECT_FALSE(parseF64("-0.5", 0.0, 4.0));
+}
 
 /** setenv-for-the-test-body helper; unsets on destruction. */
 class ScopedEnv

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/audit.hh"
 #include "core/approx_memory.hh"
 #include "sim/machine_config.hh"
 #include "util/checkpoint.hh"
@@ -333,6 +334,16 @@ TEST(MachineConfigSchema, KeyListIsUniqueAndComplete)
     EXPECT_NE(std::find(keys.begin(), keys.end(),
                         "backgroundFetchExtraLatency"),
               keys.end());
+}
+
+TEST(MachineConfigSchema, KeyListMatchesTopologyDocBothWays)
+{
+    // The docs/topology.md key table, checked both ways.
+    const std::vector<std::string> &keys = machineSchemaKeys();
+    EXPECT_EQ(audit::tableDrift({keys.begin(), keys.end()},
+                                LVA_DOCS_DIR "/topology.md",
+                                "machine-schema"),
+              "");
 }
 
 } // namespace

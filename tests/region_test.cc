@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "util/arena.hh"
 #include "workloads/region.hh"
 
@@ -67,9 +68,8 @@ TEST(Region, StoreUpdatesHostAndIssuesAccess)
     Region<float> r;
     r.init(arena, 16, false);
 
-    ApproxMemory::Config cfg;
+    ApproxMemory::Config cfg = defaultMachine().phase1Precise();
     cfg.threads = 1;
-    cfg.mode = MemMode::Precise;
     ApproxMemory mem(cfg);
     r.store(mem, 0, 0x500, 5, 2.5f);
     EXPECT_FLOAT_EQ(r.raw(5), 2.5f);

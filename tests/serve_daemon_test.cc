@@ -297,5 +297,19 @@ TEST(ClientBusyBackoff, BackoffIsBoundedByTheRetryBudget)
     EXPECT_EQ(server.connections(), 2);
 }
 
+TEST(ClientFlags, OutOfRangePortExitsTwoWithoutConnecting)
+{
+    // port + 65536 is this server's port after a u16 cast: a client
+    // that wrapped --port (as 70000 once became 4464) would connect.
+    BusyStubServer server(0);
+    const std::string client =
+        std::string("'") + LVA_CLIENT_BINARY + "' --port ";
+    EXPECT_EQ(runCommand(client + "70000 ping > /dev/null 2>&1"), 2);
+    EXPECT_EQ(runCommand(client + std::to_string(server.port() + 65536) +
+                         " ping > /dev/null 2>&1"),
+              2);
+    EXPECT_EQ(server.connections(), 0);
+}
+
 } // namespace
 } // namespace lva

@@ -15,10 +15,12 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analyze/audit.hh"
 #include "eval/service.hh"
 #include "sim/machine_config.hh"
 #include "util/fault.hh"
@@ -510,6 +512,17 @@ TEST(ServeStatsTest, StatsOpExportsTheCacheSubtree)
     EXPECT_NE(serve.find("serve.cache.coalesced"), nullptr);
     EXPECT_NE(serve.find("serve.cache.evictions"), nullptr);
     EXPECT_NE(serve.find("serve.cache.size"), nullptr);
+}
+
+TEST(ServeStatsTest, SubtreeMatchesServingDocBothWays)
+{
+    // The serve.* table in docs/serving.md, checked both ways.
+    std::set<std::string> paths;
+    for (const SnapEntry &e : ServeStats().snapshot().entries)
+        paths.insert(e.path);
+    EXPECT_EQ(audit::tableDrift(paths, LVA_DOCS_DIR "/serving.md",
+                                "serve-stats"),
+              "");
 }
 
 TEST(FleetRouting, RouteKeysFollowTheWorkloadSet)

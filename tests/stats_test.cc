@@ -1,13 +1,26 @@
 /**
  * @file
- * Unit tests for the statistics utilities and the stat registry.
+ * Unit tests for the statistics utilities and the stat registry, plus
+ * the metric-catalog gate: the registry self-dump of every
+ * registry-backed component must match docs/metrics.md both ways.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "analyze/audit.hh"
+#include "core/approx_memory.hh"
+#include "eval/coord.hh"
+#include "eval/evaluator.hh"
+#include "eval/service.hh"
+#include "eval/sweep.hh"
+#include "sim/full_system.hh"
+#include "sim/machine_config.hh"
 #include "util/stat_registry.hh"
 #include "util/stats.hh"
 
@@ -202,6 +215,72 @@ TEST(StatSnapshot, MergeTypeConflictThrows)
     r4.histogram("h", 0.0, 2.0, 4);
     StatSnapshot hs = r3.snapshot();
     EXPECT_THROW(hs.merge(r4.snapshot()), std::invalid_argument);
+}
+
+/**
+ * Every stat path a run can export, indices abstracted to <N>. Unlike
+ * lva_audit's static stat rules, this sees the exact joinPath() paths.
+ */
+std::set<std::string>
+registrySelfDump()
+{
+    // Phase 1: each mode registers its own component set.
+    std::vector<StatSnapshot> snaps;
+    for (const MemMode mode : {MemMode::Lva, MemMode::Lvp,
+                               MemMode::Prefetch, MemMode::Precise})
+        snaps.push_back(
+            ApproxMemory(defaultMachine().phase1Config(mode)).snapshot());
+    // Phase 2: the baseline and LVA on the heterogeneous NoC, so a
+    // config-gated stat still shows up.
+    FullSystemConfig lva = defaultMachine().fullSystem(true, 4);
+    lva.heteroNoc = true;
+    for (const FullSystemConfig &c : {defaultMachine().fullSystem(false), lva})
+        snaps.push_back(FullSystemSim(c).registry().snapshot());
+    snaps.push_back(ServeStats().snapshot());
+    snaps.push_back(CoordStats().snapshot());
+
+    std::set<std::string> paths;
+    for (const StatSnapshot &snap : snaps)
+        for (const SnapEntry &e : snap.entries)
+            paths.insert(audit::normalizeIndices(e.path));
+    for (const auto *defs :
+         {&evalMetricDefs(), &workloadStaticDefs(), &sweepRuntimeDefs()})
+        for (const EvalMetricDef &d : *defs)
+            paths.insert(d.path);
+    return paths;
+}
+
+const std::string kCatalogDoc = LVA_DOCS_DIR "/metrics.md";
+
+TEST(MetricCatalog, RegistrySelfDumpMatchesDocsBothWays)
+{
+    EXPECT_EQ(audit::tableDrift(registrySelfDump(), kCatalogDoc, "catalog"),
+              "");
+}
+
+TEST(MetricCatalog, UndocumentedJoinPathStatFailsTheComparison)
+{
+    // A joinPath("hits") leaf under the prefetcher's prefix: the
+    // static stat-undocumented rule accepts the leaf against any
+    // catalog row ending in ".hits", so only the runtime comparison
+    // sees that thread<N>.prefetch.hits has no row.
+    StatRegistry reg;
+    reg.counter(StatRegistry::joinPath("thread0.prefetch", "hits"),
+                "probe", "events");
+    std::set<std::string> dump = registrySelfDump();
+    for (const SnapEntry &e : reg.snapshot().entries)
+        dump.insert(audit::normalizeIndices(e.path));
+
+    EXPECT_EQ(audit::tableDrift(dump, kCatalogDoc, "catalog"),
+              "undocumented: 'thread<N>.prefetch.hits' has no row in "
+              "the catalog table of " + kCatalogDoc + "\n");
+
+    // The other direction: a row whose stat is gone is stale.
+    dump = registrySelfDump();
+    dump.erase("thread<N>.l1.hits");
+    EXPECT_NE(audit::tableDrift(dump, kCatalogDoc, "catalog")
+                  .find("stale row 'thread<N>.l1.hits'"),
+              std::string::npos);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <map>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "workloads/blackscholes.hh"
 #include "workloads/bodytrack.hh"
 #include "workloads/canneal.hh"
@@ -134,8 +135,7 @@ TEST(InstructionCounts, ScaleRoughlyMatchesTableOne)
     // canneal >> bodytrack > ferret > fluidanimate ~ blackscholes >
     // x264 >> swaptions. Run at reduced scale and verify the strict
     // extremes, which are scale-robust.
-    ApproxMemory::Config cfg;
-    cfg.mode = MemMode::Precise;
+    const ApproxMemory::Config cfg = defaultMachine().phase1Precise();
 
     std::map<std::string, double> mpki;
     for (const auto &name : {"canneal", "swaptions", "bodytrack"}) {

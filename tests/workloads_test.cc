@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "core/approx_memory.hh"
+#include "sim/machine_config.hh"
 #include "workloads/blackscholes.hh"
 #include "workloads/bodytrack.hh"
 #include "workloads/canneal.hh"
@@ -59,9 +60,7 @@ TEST_P(EveryWorkload, IssuesTrafficThroughTheBackend)
 {
     auto w = makeWorkload(GetParam(), smallParams());
     w->generate();
-    ApproxMemory::Config cfg;
-    cfg.mode = MemMode::Precise;
-    ApproxMemory mem(cfg);
+    ApproxMemory mem(defaultMachine().phase1Precise());
     w->run(mem);
     const MemMetrics m = mem.metrics();
     EXPECT_GT(m.instructions, 1000u);
@@ -80,8 +79,7 @@ TEST_P(EveryWorkload, PreciseExecutionIsNeverClobbered)
     golden->generate();
     NullBackend null;
     golden->run(null);
-    ApproxMemory::Config cfg;
-    cfg.mode = MemMode::Lvp;
+    ApproxMemory::Config cfg = defaultMachine().phase1Config(MemMode::Lvp);
     cfg.approx.valueDelay = 0;
     ApproxMemory mem(cfg);
     w->run(mem);
@@ -96,7 +94,7 @@ TEST_P(EveryWorkload, ApproximateRunStaysBounded)
     golden->generate();
     NullBackend null;
     golden->run(null);
-    ApproxMemory mem(ApproxMemory::Config{});
+    ApproxMemory mem(defaultMachine().phase1Lva());
     w->run(mem);
     const double err = w->outputErrorVs(*golden);
     EXPECT_GE(err, 0.0);
@@ -114,7 +112,7 @@ TEST_P(EveryWorkload, HighDegreeErrorStaysFinite)
     golden->generate();
     NullBackend null;
     golden->run(null);
-    ApproxMemory::Config cfg;
+    ApproxMemory::Config cfg = defaultMachine().phase1Lva();
     cfg.approx.approxDegree = 16;
     ApproxMemory mem(cfg);
     w->run(mem);

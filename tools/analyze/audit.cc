@@ -1,10 +1,12 @@
 #include "analyze/audit.hh"
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <regex>
 #include <set>
+#include <sstream>
 
 namespace lva::audit {
 namespace {
@@ -55,65 +57,70 @@ struct Sink
 };
 
 // ---------------------------------------------------------------------
-// Doc tables: metrics.md catalog rows and README knob rows.
+// Doc tables: the marker-delimited tables the doc rules compare.
 // ---------------------------------------------------------------------
 
-struct DocRow
+/**
+ * tableRows() of the loaded doc whose path ends in @p pathSuffix,
+ * whose path lands in @p docPath; both stay empty when it is absent.
+ */
+std::vector<DocRow>
+docTable(const Project &project, const std::string &pathSuffix,
+         const std::string &marker, std::string &docPath)
 {
-    std::string text;
-    int line = 0;
+    for (const TextFile &t : project.texts) {
+        if (t.path.size() >= pathSuffix.size() &&
+            t.path.compare(t.path.size() - pathSuffix.size(),
+                           pathSuffix.size(), pathSuffix) == 0) {
+            docPath = t.path;
+            return tableRows(t.content, marker);
+        }
+    }
+    return {};
+}
+
+/** One entry a doc table must list, and where to report it. */
+struct Listed
+{
+    std::string name; ///< the doc table's first-cell entry
+    const SourceFile *file;
+    int line;
 };
 
 /**
- * First-cell `code` entries of table rows between the given marker
- * comments.  Empty when the file or the markers are absent.
+ * Two-way check of a list against a doc table: every listed entry
+ * needs a row and every row an entry.  Skipped when the doc is not
+ * part of the project, so fixture trees only carry the docs they
+ * exercise.
  */
-std::vector<DocRow>
-tableRows(const Project &project, const std::string &pathSuffix,
-          const std::string &beginMarker, std::string *docPath)
+void
+auditDocList(const Project &project, Sink &sink,
+             const std::string &docSuffix, const std::string &marker,
+             const std::vector<Listed> &listed, const char *undocRule,
+             const char *staleRule, const std::string &what)
 {
-    std::vector<DocRow> rows;
-    const std::string endMarker =
-        beginMarker.substr(0, beginMarker.find(":begin")) + ":end";
-    static const std::regex rowRe(R"(^\|\s*`([^`]+)`)");
-    for (const TextFile &t : project.texts) {
-        if (t.path.size() < pathSuffix.size() ||
-            t.path.compare(t.path.size() - pathSuffix.size(),
-                           pathSuffix.size(), pathSuffix) != 0)
-            continue;
-        if (docPath)
-            *docPath = t.path;
-        bool inTable = false;
-        std::size_t pos = 0;
-        int line = 1;
-        while (pos <= t.content.size()) {
-            std::size_t eol = t.content.find('\n', pos);
-            if (eol == std::string::npos)
-                eol = t.content.size();
-            const std::string text = t.content.substr(pos, eol - pos);
-            if (text.find(beginMarker) != std::string::npos)
-                inTable = true;
-            else if (text.find(endMarker) != std::string::npos)
-                inTable = false;
-            std::smatch m;
-            if (inTable && std::regex_search(text, m, rowRe))
-                rows.push_back({m[1].str(), line});
-            if (eol == t.content.size())
-                break;
-            pos = eol + 1;
-            ++line;
-        }
-        break;
-    }
-    return rows;
-}
+    std::string docPath;
+    const std::vector<DocRow> rows =
+        docTable(project, docSuffix, marker, docPath);
+    if (docPath.empty())
+        return;
 
-/** thread7 / core12 / bank3 -> thread<N> etc (the catalog's form). */
-std::string
-normalizeIndices(const std::string &path)
-{
-    static const std::regex re(R"((thread|core|bank|worker)[0-9]+)");
-    return std::regex_replace(path, re, "$1<N>");
+    std::set<std::string> documented, present;
+    for (const DocRow &r : rows)
+        documented.insert(r.text);
+    for (const Listed &l : listed) {
+        present.insert(l.name);
+        if (!documented.count(l.name))
+            sink.emit(l.file->path, l.line, undocRule, l.name,
+                      what + " " + l.name + " has no row in the " +
+                          marker + " table of " + docPath);
+    }
+    for (const DocRow &r : rows)
+        if (!present.count(r.text))
+            sink.emit(docPath, r.line, staleRule, r.text,
+                      docPath + " lists " + what + " " + r.text +
+                          " that the tree does not have; stale "
+                          "documentation");
 }
 
 // ---------------------------------------------------------------------
@@ -243,9 +250,8 @@ void
 auditStats(const Project &project, Sink &sink)
 {
     std::string docPath;
-    const std::vector<DocRow> rows = tableRows(
-        project, "docs/metrics.md", "<!-- catalog:begin -->",
-        &docPath);
+    const std::vector<DocRow> rows =
+        docTable(project, "docs/metrics.md", "catalog", docPath);
     if (rows.empty())
         return; // no catalog to audit against (e.g. bare fixture)
 
@@ -270,9 +276,7 @@ auditStats(const Project &project, Sink &sink)
                               lit.text +
                               "' matches no row of the metric "
                               "catalog in " +
-                              docPath +
-                              "; document it (and re-run "
-                              "scripts/check_docs.sh)");
+                              docPath + "; document it");
             }
         }
     }
@@ -378,26 +382,12 @@ knobScope(const std::string &path)
 void
 auditKnobs(const Project &project, Sink &sink)
 {
-    std::string docPath;
-    const std::vector<DocRow> rows = tableRows(
-        project, "README.md", "<!-- knobs:begin -->", &docPath);
-
-    std::set<std::string> documented;
-    for (const DocRow &r : rows)
-        documented.insert(r.text);
-
-    std::set<std::string> mentioned;
+    std::vector<Listed> uses;
     for (const SourceFile &f : project.sources) {
         if (!knobScope(f.path))
             continue;
         for (const KnobUse &k : f.knobs) {
-            mentioned.insert(k.name);
-            if (!rows.empty() && !documented.count(k.name)) {
-                sink.emit(f.path, k.line, kKnobUndocumented, k.name,
-                          "environment knob " + k.name +
-                              " is read here but missing from the "
-                              "README knob table");
-            }
+            uses.push_back({k.name, &f, k.line});
             if (k.directGetenv &&
                 f.path != "src/util/env_knob.cc") {
                 sink.emit(
@@ -410,17 +400,38 @@ auditKnobs(const Project &project, Sink &sink)
             }
         }
     }
-    for (const DocRow &r : rows) {
-        if (!mentioned.count(r.text))
-            sink.emit(docPath, r.line, kKnobStaleDoc, r.text,
-                      "README documents knob " + r.text +
-                          " but nothing under src/, tools/ or bench/ "
-                          "references it; stale documentation");
-    }
+    auditDocList(project, sink, "README.md", "knobs", uses,
+                 kKnobUndocumented, kKnobStaleDoc, "environment knob");
 }
 
 // ---------------------------------------------------------------------
-// 5. Lock-order graph.
+// 5. Bench drivers and hot-path fences.
+// ---------------------------------------------------------------------
+
+void
+auditDocLists(const Project &project, Sink &sink)
+{
+    std::vector<Listed> drivers, fenced;
+    for (const SourceFile &f : project.sources) {
+        // One driver per bench/<name>.cc; subdirectories hold helpers.
+        const std::string &p = f.path;
+        if (p.rfind("bench/", 0) == 0 &&
+            p.find('/', 6) == std::string::npos && p.size() > 9 &&
+            p.compare(p.size() - 3, 3, ".cc") == 0)
+            drivers.push_back({p.substr(6, p.size() - 9), &f, 1});
+        if (knobScope(p) && f.hotPathFence > 0)
+            fenced.push_back({p, &f, f.hotPathFence});
+    }
+    auditDocList(project, sink, "docs/reproducing.md", "drivers",
+                 drivers, kDriverUndocumented, kDriverStaleDoc,
+                 "bench driver");
+    auditDocList(project, sink, "docs/performance.md", "hotpath",
+                 fenced, kHotPathUndocumented, kHotPathStaleDoc,
+                 "hot-path fenced file");
+}
+
+// ---------------------------------------------------------------------
+// 6. Lock-order graph.
 // ---------------------------------------------------------------------
 
 void
@@ -514,6 +525,65 @@ auditFences(const Project &project, Sink &sink)
 
 } // namespace
 
+std::vector<DocRow>
+tableRows(const std::string &content, const std::string &marker)
+{
+    std::vector<DocRow> rows;
+    const std::string beginMarker = "<!-- " + marker + ":begin -->";
+    const std::string endMarker = "<!-- " + marker + ":end -->";
+    static const std::regex rowRe(R"(^\|\s*`([^`]+)`)");
+    bool inTable = false;
+    std::size_t pos = 0;
+    int line = 1;
+    while (pos <= content.size()) {
+        std::size_t eol = content.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = content.size();
+        const std::string text = content.substr(pos, eol - pos);
+        if (text.find(beginMarker) != std::string::npos)
+            inTable = true;
+        else if (text.find(endMarker) != std::string::npos)
+            inTable = false;
+        std::smatch m;
+        if (inTable && std::regex_search(text, m, rowRe))
+            rows.push_back({m[1].str(), line});
+        if (eol == content.size())
+            break;
+        pos = eol + 1;
+        ++line;
+    }
+    return rows;
+}
+
+std::string
+tableDrift(const std::set<std::string> &code, const std::string &docPath,
+           const std::string &marker)
+{
+    std::ifstream in(docPath);
+    std::ostringstream doc;
+    doc << in.rdbuf();
+    std::string out;
+    std::set<std::string> documented;
+    for (const DocRow &r : tableRows(doc.str(), marker)) {
+        documented.insert(r.text);
+        if (!code.count(r.text))
+            out += docPath + ":" + std::to_string(r.line) +
+                   ": stale row '" + r.text + "'\n";
+    }
+    for (const std::string &c : code)
+        if (!documented.count(c))
+            out += "undocumented: '" + c + "' has no row in the " +
+                   marker + " table of " + docPath + "\n";
+    return out;
+}
+
+std::string
+normalizeIndices(const std::string &path)
+{
+    static const std::regex re(R"((thread|core|bank|worker)[0-9]+)");
+    return std::regex_replace(path, re, "$1<N>");
+}
+
 const std::vector<lint::RuleInfo> &
 auditRuleCatalog()
 {
@@ -546,6 +616,17 @@ auditRuleCatalog()
          "getenv(\"LVA_*\") outside util/env_knob.cc must use the "
          "validated envKnobU64/envKnobF64 parsers or carry an "
          "explicit allow annotation"},
+        {kDriverUndocumented, "bench/",
+         "every bench/*.cc driver must have a row in the "
+         "docs/reproducing.md driver map"},
+        {kDriverStaleDoc, "docs/reproducing.md",
+         "every driver-map row must name an existing bench/*.cc"},
+        {kHotPathUndocumented, "src/, tools/, bench/",
+         "every file with an lva-hot-path: begin fence must be listed "
+         "in the docs/performance.md fenced-file table"},
+        {kHotPathStaleDoc, "docs/performance.md",
+         "every fenced-file row must name a file that carries an "
+         "lva-hot-path: begin fence"},
         {kLockCycle, "everywhere",
          "the cross-TU mutex acquisition graph (held -> acquired "
          "edges) must be acyclic"},
@@ -599,6 +680,7 @@ runAudit(const Project &project, Baseline *baseline)
     auditStats(project, sink);
     auditFaults(project, sink);
     auditKnobs(project, sink);
+    auditDocLists(project, sink);
     auditLocks(project, sink);
     auditFences(project, sink);
 

@@ -662,6 +662,14 @@ parseSource(const std::string &relPath, const std::string &content)
     if (dot != std::string::npos)
         stem = stem.substr(0, dot);
     extractLocks(stripped, stem, lineOf, out);
+
+    if (content.find("lva-hot-path:") != std::string::npos) {
+        const std::vector<bool> fenced = lint::hotPathFenceLines(
+            content, lineOf.empty() ? 1 : lineOf.back());
+        const auto first = std::find(fenced.begin(), fenced.end(), true);
+        if (first != fenced.end())
+            out.hotPathFence = static_cast<int>(first - fenced.begin());
+    }
     return out;
 }
 

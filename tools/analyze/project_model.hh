@@ -14,8 +14,7 @@
  *
  * This header defines that model.  parseSource() lexes one file with
  * the same comment/string-stripping machinery lva_lint uses
- * (lint::stripComments) and extracts the five registries the audit
- * rules consume:
+ * (lint::stripComments) and extracts what the audit rules consume:
  *
  *   - quoted #include directives (resolved to repo-relative paths by
  *     buildModel, which also assigns layer numbers),
@@ -29,7 +28,8 @@
  *   - mutex acquisition order: which locks are taken while which
  *     other locks are held, per function, with owner-qualified mutex
  *     identities so ServeStats::mutex_ and ServeLoop::mutex_ stay
- *     distinct.
+ *     distinct,
+ *   - the first `// lva-hot-path: begin` fence, if any.
  *
  * Suppressions use the lva_lint grammar under the "lva-audit" tag:
  * `// lva-audit: allow(<rule>)` on or above the line, or
@@ -121,6 +121,9 @@ struct SourceFile
     std::vector<FaultRef> faultRefs;
     std::vector<LockEdge> lockEdges;
     std::vector<CvWait> cvWaits;
+    /** First line of the first lva-hot-path fence (lint's
+     *  hotPathFenceLines()); 0 = the file has none. */
+    int hotPathFence = 0;
     lint::Suppressions suppressions; ///< tag "lva-audit"
 };
 

@@ -433,13 +433,8 @@ checkMutableGlobal(FileCtx &ctx, const Options &opts)
 // from the raw source; the token scan runs over the stripped text.
 // ---------------------------------------------------------------------
 
-/**
- * 1-based line membership of `// lva-hot-path: begin` ... `end`
- * fences.  Only whole-line comments count as markers (so the marker
- * text inside string literals — this file's own tests, say — does
- * not open a fence).  An unmatched begin extends to end of file; an
- * unmatched end is ignored.
- */
+} // namespace
+
 std::vector<bool>
 hotPathFenceLines(const std::string &source, int lastLine)
 {
@@ -476,6 +471,8 @@ hotPathFenceLines(const std::string &source, int lastLine)
             fenced[static_cast<std::size_t>(l)] = true;
     return fenced;
 }
+
+namespace {
 
 void
 checkHotPathAlloc(FileCtx &ctx, const std::string &source)

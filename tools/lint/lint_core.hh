@@ -94,6 +94,16 @@ std::string stripComments(const std::string &source, bool keepStrings);
 std::vector<int> buildLineTable(const std::string &source);
 
 /**
+ * 1-based line membership of `// lva-hot-path: begin` ... `end`
+ * fences, indexed by line up to @p lastLine.  Only whole-line
+ * comments count as markers (so the marker text inside string
+ * literals does not open a fence).  An unmatched begin extends to
+ * end of file; an unmatched end is ignored.
+ */
+std::vector<bool> hotPathFenceLines(const std::string &source,
+                                    int lastLine);
+
+/**
  * Per-file suppression state parsed from the raw source under a
  * given comment tag ("lva-lint" or "lva-audit"):
  *
@@ -129,11 +139,11 @@ struct Options
     /**
      * Repo-relative path prefixes where iterating an unordered
      * container is forbidden because the iteration order can reach an
-     * exported artifact (CSV, JSON stats, catalog dumps).
+     * exported artifact (CSV, JSON stats).
      */
     std::vector<std::string> exportPaths = {
         "src/eval/",
-        "src/util/stat",  // stat_registry / stat_dump / stats_json
+        "src/util/stat",  // stat_registry / stats_json
         "tools/",
     };
 

@@ -2,8 +2,9 @@
  * @file
  * lva-audit driver: builds one project model of the whole repository
  * (tools/analyze) and runs the cross-file analyses — include
- * layering, stat/knob/fault-site registries, lock-order graph — that
- * the per-file lva_lint pass cannot see.  Findings print gcc-style;
+ * layering, stat/knob/fault-site registries, the bench-driver and
+ * hot-path doc lists, lock-order graph — that the per-file lva_lint
+ * pass cannot see.  Findings print gcc-style;
  * exit status: 0 clean, 1 findings, 2 usage/IO error.
  *
  * Usage:

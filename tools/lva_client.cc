@@ -93,12 +93,19 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    // Strict decimals in range: "--port 70000" must not wrap to 4464.
+    auto count = [&](int &i, u64 lo, u64 hi) {
+        const std::optional<u64> v = parseU64(need(i), lo, hi);
+        if (!v)
+            usage(argv[0]);
+        return *v;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            opt.port = static_cast<u16>(std::atoi(need(i)));
+            opt.port = static_cast<u16>(count(i, 1, 65535));
         } else if (arg == "--timeout-ms") {
-            opt.timeoutMs = static_cast<u64>(std::atoll(need(i)));
+            opt.timeoutMs = count(i, 1, 86400000);
         } else if (arg == "--workload") {
             opt.workload = need(i);
         } else if (arg == "--config") {

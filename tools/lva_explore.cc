@@ -58,6 +58,7 @@
 
 #include "eval/sweep.hh"
 #include "sim/machine_config.hh"
+#include "util/env_knob.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 
@@ -103,6 +104,16 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    auto orUsage = [&](auto v) {
+        if (!v)
+            usage(argv[0]);
+        return *v;
+    };
+    auto count = [&](int &i, u64 hi) {
+        return orUsage(parseU64(need(i), 0, hi));
+    };
+    // Approximator fields take any u32; the mechanism judges them.
+    auto field = [&](int &i) { return static_cast<u32>(count(i, ~0u)); };
     // Approximator-field edits touch the base approximator and every
     // per-core variant of a heterogeneous machine, so an explicit
     // flag overrides all of them (mirrors the RPC semantics).
@@ -130,22 +141,23 @@ parse(int argc, char **argv)
             opt.edits.push_back(
                 [mode](ApproxMemory::Config &cfg) { cfg.mode = mode; });
         } else if (arg == "--ghb") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.ghbEntries = v; });
         } else if (arg == "--lhb") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.lhbEntries = v; });
         } else if (arg == "--table") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.tableEntries = v; });
         } else if (arg == "--window") {
             const std::string w = need(i);
             const double v =
-                (w == "inf") ? std::numeric_limits<double>::infinity()
-                             : std::atof(w.c_str());
+                w == "inf" ? std::numeric_limits<double>::infinity()
+                           : orUsage(parseF64(w.c_str(), 0.0,
+                                     std::numeric_limits<double>::max()));
             approxEdit(
                 [v](ApproximatorConfig &a) { a.confidenceWindow = v; });
         } else if (arg == "--conf-ints") {
@@ -160,15 +172,15 @@ parse(int argc, char **argv)
                 a.proportionalConfidence = true;
             });
         } else if (arg == "--degree") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.approxDegree = v; });
         } else if (arg == "--delay") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.valueDelay = v; });
         } else if (arg == "--mantissa-drop") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             approxEdit(
                 [v](ApproximatorConfig &a) { a.mantissaDropBits = v; });
         } else if (arg == "--estimator") {
@@ -185,25 +197,24 @@ parse(int argc, char **argv)
             approxEdit(
                 [est](ApproximatorConfig &a) { a.estimator = est; });
         } else if (arg == "--prefetch-degree") {
-            const u32 v = static_cast<u32>(std::atoi(need(i)));
+            const u32 v = field(i);
             opt.edits.push_back([v](ApproxMemory::Config &cfg) {
                 cfg.prefetch.degree = v;
             });
         } else if (arg == "--machine") {
             opt.machineFiles.push_back(need(i));
         } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(std::atoi(need(i)));
+            opt.seeds = static_cast<u32>(count(i, 64)); // LVA_SEEDS's
         } else if (arg == "--scale") {
-            opt.scale = std::atof(need(i));
+            opt.scale = orUsage(parseF64(need(i), 0.0, 4.0)); // LVA_SCALE's
         } else if (arg == "--checkpoint") {
             opt.sweep.checkpoint = true;
         } else if (arg == "--resume") {
             opt.sweep.resume = true;
         } else if (arg == "--retries") {
-            opt.sweep.maxAttempts =
-                static_cast<u32>(std::atoi(need(i))) + 1;
+            opt.sweep.maxAttempts = static_cast<u32>(count(i, 99)) + 1;
         } else if (arg == "--timeout-ms") {
-            opt.sweep.timeoutMs = static_cast<u64>(std::atoll(need(i)));
+            opt.sweep.timeoutMs = count(i, 86400000);
         } else {
             usage(argv[0]);
         }

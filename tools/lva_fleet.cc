@@ -105,12 +105,18 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    auto count = [&](int &i, u64 lo, u64 hi) {
+        const std::optional<u64> v = parseU64(need(i), lo, hi);
+        if (!v)
+            usage(argv[0]);
+        return *v;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fleet") {
-            opt.fleet = static_cast<u32>(std::atoi(need(i)));
+            opt.fleet = static_cast<u32>(count(i, 1, 64));
         } else if (arg == "--port") {
-            opt.port = static_cast<u16>(std::atoi(need(i)));
+            opt.port = static_cast<u16>(count(i, 0, 65535));
         } else if (arg == "--served") {
             opt.served = need(i);
         } else if (arg == "--workers" || arg == "--queue" ||

@@ -23,6 +23,9 @@
  *   --seeds N        evaluator seeds (0 = LVA_SEEDS)      [0]
  *   --scale F        workload scale (0 = LVA_SCALE)       [0]
  *
+ * Values are strict decimals in the matching knob's range; anything
+ * else exits 2.
+ *
  * SIGTERM / SIGINT drain: the daemon stops accepting, finishes every
  * in-flight request, and exits 0. A `shutdown` request does the same.
  */
@@ -34,6 +37,7 @@
 #include <string>
 
 #include "eval/service.hh"
+#include "util/env_knob.hh"
 #include "util/logging.hh"
 
 using namespace lva;
@@ -81,29 +85,34 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    auto orUsage = [&](auto v) {
+        if (!v)
+            usage(argv[0]);
+        return *v;
+    };
+    auto count = [&](int &i, u64 lo, u64 hi) {
+        return orUsage(parseU64(need(i), lo, hi));
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            opt.serve.port = static_cast<u16>(std::atoi(need(i)));
+            opt.serve.port = static_cast<u16>(count(i, 0, 65535));
         } else if (arg == "--workers") {
-            opt.serve.workers = static_cast<u32>(std::atoi(need(i)));
+            opt.serve.workers = static_cast<u32>(count(i, 0, 256));
         } else if (arg == "--queue") {
-            opt.serve.queueCap = static_cast<u32>(std::atoi(need(i)));
+            opt.serve.queueCap = static_cast<u32>(count(i, 0, 1000000));
         } else if (arg == "--deadline-ms") {
-            opt.serve.deadlineMs =
-                static_cast<u64>(std::atoll(need(i)));
+            opt.serve.deadlineMs = count(i, 0, 86400000);
         } else if (arg == "--retries") {
-            opt.serve.maxAttempts =
-                static_cast<u32>(std::atoi(need(i))) + 1;
+            opt.serve.maxAttempts = static_cast<u32>(count(i, 0, 99)) + 1;
         } else if (arg == "--jobs") {
-            opt.serve.jobs = static_cast<u32>(std::atoi(need(i)));
+            opt.serve.jobs = static_cast<u32>(count(i, 0, 256));
         } else if (arg == "--cache") {
-            opt.serve.cacheCap =
-                static_cast<u64>(std::atoll(need(i)));
+            opt.serve.cacheCap = count(i, 0, 1000000);
         } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(std::atoi(need(i)));
+            opt.seeds = static_cast<u32>(count(i, 0, 64));
         } else if (arg == "--scale") {
-            opt.scale = std::atof(need(i));
+            opt.scale = orUsage(parseF64(need(i), 0.0, 4.0));
         } else {
             usage(argv[0]);
         }

@@ -141,6 +141,14 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    auto orUsage = [&](auto v) {
+        if (!v)
+            usage(argv[0]);
+        return *v;
+    };
+    auto count = [&](int &i, u64 lo, u64 hi) {
+        return orUsage(parseU64(need(i), lo, hi));
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--driver") {
@@ -150,9 +158,9 @@ parse(int argc, char **argv)
         } else if (arg == "--out") {
             opt.out = need(i);
         } else if (arg == "--fleet") {
-            opt.fleet = static_cast<u32>(std::atoi(need(i)));
+            opt.fleet = static_cast<u32>(count(i, 1, 64));
         } else if (arg == "--shards") {
-            opt.shards = static_cast<u32>(std::atoi(need(i)));
+            opt.shards = static_cast<u32>(count(i, 1, 4096));
         } else if (arg == "--served") {
             opt.served = need(i);
         } else if (arg == "--machine") {
@@ -162,17 +170,15 @@ parse(int argc, char **argv)
         } else if (arg == "--print-stats") {
             opt.printStats = true;
         } else if (arg == "--timeout-ms") {
-            opt.timeoutMs = static_cast<u64>(std::atoll(need(i)));
+            opt.timeoutMs = count(i, 1, 86400000);
         } else if (arg == "--seeds") {
-            const char *v = need(i);
-            opt.seeds = static_cast<u32>(std::atoi(v));
+            opt.seeds = static_cast<u32>(count(i, 0, 64));
             opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(v);
+            opt.passThrough.push_back(argv[i]);
         } else if (arg == "--scale") {
-            const char *v = need(i);
-            opt.scale = std::strtod(v, nullptr);
+            opt.scale = orUsage(parseF64(need(i), 0.0, 4.0));
             opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(v);
+            opt.passThrough.push_back(argv[i]);
         } else if (arg == "--workers" || arg == "--queue" ||
                    arg == "--deadline-ms" || arg == "--retries" ||
                    arg == "--jobs" || arg == "--cache") {

@@ -26,6 +26,7 @@
 #include "cpu/trace_io.hh"
 #include "sim/full_system.hh"
 #include "sim/machine_config.hh"
+#include "util/env_knob.hh"
 #include "workloads/workload.hh"
 
 using namespace lva;
@@ -45,6 +46,16 @@ usage()
         "[--hetero]\n"
         "      [--machine FILE]\n");
     std::exit(2);
+}
+
+/** A parsed flag value, or usage() (exit 2) when it did not parse. */
+template <typename T>
+T
+orUsage(const std::optional<T> &v)
+{
+    if (!v)
+        usage();
+    return *v;
 }
 
 /** Load an lva-machine-v1 file or exit with its parse diagnostic. */
@@ -67,9 +78,9 @@ cmdRecord(int argc, char **argv)
     WorkloadParams params;
     for (int i = 4; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            params.seed = std::strtoull(argv[++i], nullptr, 10);
+            params.seed = orUsage(parseU64(argv[++i], 0, ~u64(0)));
         else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc)
-            params.scale = std::atof(argv[++i]);
+            params.scale = orUsage(parseF64(argv[++i], 1e-6, 4.0));
         else if (!std::strcmp(argv[i], "--machine") && i + 1 < argc)
             params.threads = loadMachineOrDie(argv[++i]).cores;
         else
@@ -130,7 +141,7 @@ cmdReplay(int argc, char **argv)
     const char *machineFile = nullptr;
     for (int i = 3; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--degree") && i + 1 < argc)
-            degree = static_cast<u32>(std::atoi(argv[++i]));
+            degree = static_cast<u32>(orUsage(parseU64(argv[++i], 0, ~0u)));
         else if (!std::strcmp(argv[i], "--precise"))
             precise = true;
         else if (!std::strcmp(argv[i], "--hetero"))
