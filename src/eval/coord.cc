@@ -113,6 +113,25 @@ coordWorkerRank(const std::string &key, u32 workers)
     return rank;
 }
 
+std::vector<std::vector<u32>>
+coordShardRanks(const ShardPlan &plan, u32 workers)
+{
+    std::vector<std::vector<u32>> ranks;
+    std::vector<u32> leads(workers, 0);
+    for (u32 s = 0; s < plan.shards; ++s) {
+        std::vector<u32> rank = coordWorkerRank(plan.keys[s], workers);
+        if (!plan.members[s].empty()) {
+            const auto lead = std::min_element(
+                rank.begin(), rank.end(),
+                [&leads](u32 a, u32 b) { return leads[a] < leads[b]; });
+            std::rotate(rank.begin(), lead, lead + 1);
+            ++leads[rank[0]];
+        }
+        ranks.push_back(std::move(rank));
+    }
+    return ranks;
+}
+
 std::string
 encodeShardRecord(const ShardRecord &record)
 {

@@ -95,6 +95,18 @@ std::string coordContextKey(const Evaluator &eval, u32 shards);
  */
 std::vector<u32> coordWorkerRank(const std::string &key, u32 workers);
 
+/**
+ * Worker preference order for every shard of @p plan on a fleet of
+ * @p workers. Each entry is the shard's coordWorkerRank, except that
+ * its lead moves to the first worker in that rank leading the fewest
+ * non-empty shards placed so far (shards are placed in index order).
+ * So no worker leads a second shard while another leads none, and
+ * the fleet runs shards in parallel even when rendezvous leads
+ * collide. Where the leads do not collide the ranks are unchanged.
+ */
+std::vector<std::vector<u32>> coordShardRanks(const ShardPlan &plan,
+                                              u32 workers);
+
 /** One shard's completed results, in shard-local submission order. */
 struct ShardRecord
 {

@@ -609,6 +609,13 @@ ServeLoop::~ServeLoop()
             t.join();
 }
 
+void
+ServeLoop::requestStop()
+{
+    stop_.store(true);
+    listener_.wake();
+}
+
 bool
 ServeLoop::stopping() const
 {
@@ -626,15 +633,13 @@ ServeLoop::run()
         TcpStream conn;
         try {
             faultPoint("serve.accept");
-            // Short poll so the stop flag is observed promptly even
-            // with no traffic (SIGTERM must drain, not hang).
-            conn = listener_.acceptOne(200);
+            conn = listener_.acceptOne(0); // until a connection or wake
         } catch (const std::exception &e) {
             lva_warn("serve: accept: %s", e.what());
             continue;
         }
         if (!conn.valid())
-            continue; // poll tick: re-check the stop flag
+            continue; // woken: re-check the stop flag
 
         service_.stats().onConnection();
         {
@@ -703,6 +708,10 @@ ServeLoop::handleConnection(TcpStream conn)
         // ends this connection only; the daemon keeps serving.
         lva_warn("serve: connection: %s", e.what());
     }
+    // Nothing else wakes the accept loop after a `shutdown` op, and
+    // the reply may have failed to send, so wake it on either path.
+    if (stopping())
+        listener_.wake();
 }
 
 } // namespace lva

@@ -254,10 +254,11 @@ class EvalService
  * holds opts.queueCap entries is answered with busyResponse() and
  * closed — the queue never grows without bound.
  *
- * Shutdown: requestStop() (async-signal-safe: one atomic store) or a
- * `shutdown` request makes run() stop accepting, serve every
- * already-accepted connection to the end of its current request, and
- * return. In-flight evaluations always complete.
+ * Shutdown: requestStop() (async-signal-safe: an atomic store and a
+ * listener wake) or a `shutdown` request makes run() stop accepting,
+ * serve every already-accepted connection to the end of its current
+ * request, and return. In-flight evaluations always complete. The
+ * accept loop blocks without a timeout; both stop paths wake it.
  */
 class ServeLoop
 {
@@ -276,9 +277,9 @@ class ServeLoop
     /** Serve until stopped; returns once fully drained. */
     void run();
 
-    /** Ask run() to stop and drain (callable from a signal handler
-     *  context via a relaxed atomic store). */
-    void requestStop() { stop_.store(true); }
+    /** Ask run() to stop and drain (async-signal-safe: a lock-free
+     *  atomic store, then TcpListener::wake()). */
+    void requestStop();
 
     bool stopping() const;
 

@@ -209,9 +209,23 @@ TcpStream::recvExact(void *data, std::size_t n, u64 timeoutMs,
 
 TcpListener::TcpListener(u16 port)
 {
+    // Release whatever was opened so far, then throw: a constructor
+    // that throws never runs the destructor.
+    auto fail = [this](const std::string &what) {
+        const int saved = errno;
+        close();
+        errno = saved;
+        throwErrno(what);
+    };
+    int wake[2];
+    if (::pipe2(wake, O_NONBLOCK | O_CLOEXEC) < 0)
+        throwErrno("listen: pipe");
+    wakeRd_ = wake[0];
+    wakeWr_ = wake[1];
+
     fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd_ < 0)
-        throwErrno("listen: socket");
+        fail("listen: socket");
     const int one = 1;
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -221,25 +235,15 @@ TcpListener::TcpListener(u16 port)
     addr.sin_port = htons(port);
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     if (::bind(fd_, reinterpret_cast<struct sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        const int saved = errno;
-        ::close(fd_);
-        fd_ = -1;
-        errno = saved;
-        throwErrno("listen: bind 127.0.0.1:" + std::to_string(port));
-    }
-    if (::listen(fd_, 64) < 0) {
-        const int saved = errno;
-        ::close(fd_);
-        fd_ = -1;
-        errno = saved;
-        throwErrno("listen");
-    }
+               sizeof(addr)) < 0)
+        fail("listen: bind 127.0.0.1:" + std::to_string(port));
+    if (::listen(fd_, 64) < 0)
+        fail("listen");
 
     socklen_t len = sizeof(addr);
     if (::getsockname(
             fd_, reinterpret_cast<struct sockaddr *>(&addr), &len) < 0)
-        throwErrno("listen: getsockname");
+        fail("listen: getsockname");
     port_ = ntohs(addr.sin_port);
 }
 
@@ -250,20 +254,31 @@ TcpListener::acceptOne(u64 timeoutMs)
         throw NetError("accept on a closed listener");
     const auto deadline = deadlineFor(timeoutMs);
     for (;;) {
-        struct pollfd pfd;
-        pfd.fd = fd_;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
+        struct pollfd pfd[2];
+        pfd[0].fd = fd_;
+        pfd[0].events = POLLIN;
+        pfd[0].revents = 0;
+        pfd[1].fd = wakeRd_;
+        pfd[1].events = POLLIN;
+        pfd[1].revents = 0;
         const int budget = pollBudget(deadline);
         if (deadline != SteadyClock::time_point::max() && budget == 0)
             return TcpStream(); // timeout: no connection waiting
-        const int prc = ::poll(&pfd, 1, budget);
+        const int prc = ::poll(pfd, 2, budget);
         if (prc == 0)
             continue; // loop re-checks the deadline
         if (prc < 0) {
             if (errno == EINTR)
                 continue;
             throwErrno("accept: poll");
+        }
+        if (pfd[1].revents != 0) {
+            // Woken: drain the pipe (pending wakes collapse into
+            // this one) and report "no connection".
+            char drain[64];
+            while (::read(wakeRd_, drain, sizeof(drain)) > 0) {
+            }
+            return TcpStream();
         }
         const int conn = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
         if (conn >= 0)
@@ -276,11 +291,26 @@ TcpListener::acceptOne(u64 timeoutMs)
 }
 
 void
+TcpListener::wake()
+{
+    // Runs in signal handlers: touch nothing but the pipe, and leave
+    // errno as the interrupted code had it. A full pipe (EAGAIN)
+    // already holds a pending wake, so a failed write loses nothing.
+    const int saved = errno;
+    const char byte = 1;
+    if (wakeWr_ >= 0 && ::write(wakeWr_, &byte, 1) < 0) {
+    }
+    errno = saved;
+}
+
+void
 TcpListener::close()
 {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
+    for (int *fd : {&fd_, &wakeRd_, &wakeWr_}) {
+        if (*fd >= 0) {
+            ::close(*fd);
+            *fd = -1;
+        }
     }
 }
 

@@ -113,6 +113,11 @@ class TcpStream
 /**
  * A listening localhost socket. Construct with port 0 to let the
  * kernel pick an ephemeral port (tests, port-file discovery).
+ *
+ * The listener also owns a self-pipe that acceptOne() polls beside
+ * the socket, so another thread or a signal handler can end a wait
+ * at once with wake() instead of the accept loop ticking on a
+ * timeout to notice a stop flag.
  */
 class TcpListener
 {
@@ -132,15 +137,24 @@ class TcpListener
 
     /**
      * Accept one connection, waiting at most @p timeoutMs (0 = wait
-     * forever). Returns an invalid stream on timeout; throws NetError
-     * on a closed or broken listener.
+     * forever). Returns an invalid stream on timeout or after a
+     * wake(); throws NetError on a closed or broken listener.
      */
     TcpStream acceptOne(u64 timeoutMs);
+
+    /**
+     * End the acceptOne() in progress, or the next one, with an
+     * invalid stream. One write(2) to the self-pipe, so it is
+     * async-signal-safe and callable from any thread.
+     */
+    void wake();
 
     void close();
 
   private:
     int fd_ = -1;
+    int wakeRd_ = -1; ///< self-pipe read end, polled by acceptOne
+    int wakeWr_ = -1; ///< self-pipe write end, written by wake
     u16 port_ = 0;
 };
 

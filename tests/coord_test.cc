@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -208,6 +209,50 @@ TEST(CoordPlan, WorkerRankLeadsWithTheFleetShard)
         for (const int n : seen)
             EXPECT_EQ(n, 1); // a permutation, no repeats
     }
+}
+
+TEST(CoordPlan, ShardRanksSpreadLeadsOverTheFleet)
+{
+    // Rendezvous leads collide often at small sizes; a collision left
+    // in place would serialize two shards on one worker while another
+    // idles. Every case below must spread, and some must move a lead.
+    const std::vector<SweepPoint> points = testPoints();
+    u32 moved = 0;
+    for (u32 shards = 1; shards <= 6; ++shards) {
+        const ShardPlan plan = planShards(points, shards);
+        for (u32 workers : {1u, 2u, 3u, 5u}) {
+            const std::vector<std::vector<u32>> ranks =
+                coordShardRanks(plan, workers);
+            ASSERT_EQ(ranks.size(), shards);
+            std::vector<u32> leads(workers, 0);
+            for (u32 s = 0; s < shards; ++s) {
+                std::vector<u32> rank =
+                    coordWorkerRank(plan.keys[s], workers);
+                ASSERT_EQ(ranks[s].size(), workers);
+                std::vector<u32> same = ranks[s];
+                std::sort(same.begin(), same.end());
+                std::vector<u32> sorted = rank;
+                std::sort(sorted.begin(), sorted.end());
+                EXPECT_EQ(same, sorted); // a permutation of the fleet
+                // Only the lead moves; the stealing order behind it
+                // keeps the rendezvous rank.
+                const u32 lead = ranks[s][0];
+                rank.erase(std::find(rank.begin(), rank.end(), lead));
+                EXPECT_EQ(std::vector<u32>(ranks[s].begin() + 1,
+                                           ranks[s].end()),
+                          rank);
+                if (plan.members[s].empty())
+                    continue;
+                moved += lead != coordWorkerRank(plan.keys[s], workers)[0];
+                ++leads[lead];
+            }
+            const auto [lo, hi] =
+                std::minmax_element(leads.begin(), leads.end());
+            EXPECT_LE(*hi - *lo, 1u)
+                << shards << " shards on " << workers << " workers";
+        }
+    }
+    EXPECT_GT(moved, 0u);
 }
 
 TEST(CoordPlan, DigestTracksShardContents)
@@ -439,12 +484,13 @@ class CoordBinaryTest : public ::testing::Test
     /**
      * Run the coordinator to completion; returns its exit code
      * (-signal when killed). @p fault / @p fleetFault arm LVA_FAULT /
-     * LVA_FLEET_FAULT in the child.
+     * LVA_FLEET_FAULT in the child; @p extra flags are appended.
      */
     int
     runCoord(const std::string &out, bool resume,
              const std::string &fault = "",
-             const std::string &fleetFault = "")
+             const std::string &fleetFault = "",
+             const std::vector<std::string> &extra = {})
     {
         const pid_t pid = fork();
         if (pid == 0) {
@@ -464,17 +510,19 @@ class CoordBinaryTest : public ::testing::Test
             if (!fleetFault.empty())
                 setenv("LVA_FLEET_FAULT", fleetFault.c_str(), 1);
             const std::string pts = (dir_ / "points.json").string();
-            const std::string outPath = (dir_ / out).string();
+            const std::string dst = (dir_ / out).string();
+            std::vector<std::string> args = {"lva_sweep_coord"};
+            args.insert(args.end(), {"--driver", "coord_test"});
+            args.insert(args.end(), {"--points", pts, "--out", dst});
+            args.insert(args.end(), {"--fleet", "3", "--shards", "3"});
             if (resume)
-                execl(LVA_COORD_BINARY, "lva_sweep_coord", "--driver",
-                      "coord_test", "--points", pts.c_str(), "--out",
-                      outPath.c_str(), "--fleet", "3", "--shards",
-                      "3", "--resume", static_cast<char *>(nullptr));
-            else
-                execl(LVA_COORD_BINARY, "lva_sweep_coord", "--driver",
-                      "coord_test", "--points", pts.c_str(), "--out",
-                      outPath.c_str(), "--fleet", "3", "--shards",
-                      "3", static_cast<char *>(nullptr));
+                args.push_back("--resume");
+            args.insert(args.end(), extra.begin(), extra.end());
+            std::vector<char *> argv;
+            for (std::string &a : args)
+                argv.push_back(a.data());
+            argv.push_back(nullptr);
+            execv(LVA_COORD_BINARY, argv.data());
             _exit(127);
         }
         int status = 0;
@@ -497,6 +545,10 @@ TEST_F(CoordBinaryTest, WorkerKillMidShardStillMatchesDirectBytes)
         runCoord("out.json", false, "", "*:serve.request.0=abort");
     EXPECT_EQ(rc, 0) << slurp(dir_ / "coord.log");
     EXPECT_EQ(slurp(dir_ / "out.json"), directExport(points_));
+    // The respawned workers still drain on their own: no worker
+    // waits out the reap deadline.
+    const std::string log = slurp(dir_ / "coord.log");
+    EXPECT_EQ(log.find("SIGKILL"), std::string::npos) << log;
 }
 
 TEST_F(CoordBinaryTest, CoordinatorKillThenResumeMatchesDirectBytes)
@@ -520,6 +572,22 @@ TEST_F(CoordBinaryTest, CoordinatorKillThenResumeMatchesDirectBytes)
     const int rc2 = runCoord("out.json", true);
     EXPECT_EQ(rc2, 0) << slurp(dir_ / "coord.log");
     EXPECT_EQ(slurp(dir_ / "out.json"), directExport(points_));
+    const std::string log = slurp(dir_ / "coord.log");
+    EXPECT_EQ(log.find("SIGKILL"), std::string::npos) << log;
+}
+
+TEST_F(CoordBinaryTest, BadWorkerFlagExitsTwoBeforeForking)
+{
+    // Forwarded worker flags are checked with lva_served's ranges in
+    // the coordinator, so a bad one is a usage error, not a worker
+    // that dies before announcing its port.
+    EXPECT_EQ(runCoord("out.json", false, "", "", {"--workers", "-1"}), 2);
+    EXPECT_EQ(runCoord("out.json", false, "", "", {"--queue", "2x"}), 2);
+    EXPECT_EQ(runCoord("out.json", false, "", "", {"--retries", "100"}), 2);
+    EXPECT_EQ(runCoord("out.json", false, "", "", {"--scale", "9"}), 2);
+    const std::string log = slurp(dir_ / "coord.log");
+    EXPECT_EQ(log.find("worker 0"), std::string::npos) << log;
+    EXPECT_FALSE(fs::exists(dir_ / "out.json"));
 }
 
 } // namespace

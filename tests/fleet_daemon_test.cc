@@ -29,6 +29,7 @@
 
 #include "eval/evaluator.hh"
 #include "eval/sweep.hh"
+#include "util/net.hh"
 
 namespace lva {
 namespace {
@@ -234,10 +235,14 @@ TEST_F(FleetDaemonTest, ServesPingAndDrainsOnSigterm)
 {
     startFleet(2);
     EXPECT_EQ(client("ping"), 0) << slurp(dir_ / "client.log");
+    // The accept loop waits without a timeout: a SIGTERM that did
+    // not wake it would hang this test until ctest's timeout.
     kill(pid_, SIGTERM);
     EXPECT_EQ(reap(), 0) << slurp(log_);
-    EXPECT_NE(slurp(log_).find("drained, exiting"),
-              std::string::npos);
+    const std::string log = slurp(log_);
+    EXPECT_NE(log.find("drained, exiting"), std::string::npos);
+    // Every worker exited on its own; none waited out the deadline.
+    EXPECT_EQ(log.find("SIGKILL"), std::string::npos) << log;
 }
 
 TEST_F(FleetDaemonTest, SweepMatchesDirectExportBytes)
@@ -298,8 +303,62 @@ TEST_F(FleetDaemonTest, ShutdownRequestEndsTheWholeTree)
     startFleet(2);
     EXPECT_EQ(client("shutdown"), 0) << slurp(dir_ / "client.log");
     EXPECT_EQ(reap(), 0) << slurp(log_);
-    EXPECT_NE(slurp(log_).find("drained, exiting"),
-              std::string::npos);
+    const std::string log = slurp(log_);
+    EXPECT_NE(log.find("drained, exiting"), std::string::npos);
+    EXPECT_EQ(log.find("SIGKILL"), std::string::npos) << log;
+}
+
+TEST_F(FleetDaemonTest, BadWorkerFlagExitsTwoBeforeForking)
+{
+    // Forwarded worker flags are checked with lva_served's ranges in
+    // the frontend: a bad one is a usage error, not a worker that
+    // dies before announcing its port.
+    auto fleetWith = [&](const std::string &flag) {
+        return runCommand(std::string("'") + LVA_FLEET_BINARY +
+                          "' --fleet 1 " + flag + " >> '" + log_.string() +
+                          "' 2>&1");
+    };
+    EXPECT_EQ(fleetWith("--workers -1"), 2);
+    EXPECT_EQ(fleetWith("--jobs 2x"), 2);
+    EXPECT_EQ(fleetWith("--deadline-ms 86400001"), 2);
+    EXPECT_EQ(fleetWith("--scale 9"), 2);
+    const std::string log = slurp(log_);
+    EXPECT_EQ(log.find("worker 0"), std::string::npos) << log;
+}
+
+TEST_F(FleetDaemonTest, SequentialConnectionsDoNotAccumulateThreads)
+{
+    // One relay thread per connection. A finished thread that is
+    // never joined leaves /proc/<pid>/task but keeps its whole stack
+    // mapped (8 MiB by default), so 50 unjoined relays grow the
+    // frontend's address space by hundreds of MiB until thread
+    // creation fails. Joined relays hand their stacks back for reuse.
+    startFleet(1);
+    const std::string status = "/proc/" + std::to_string(pid_) + "/status";
+    auto vmSizeKb = [&] {
+        const std::string s = slurp(status);
+        const std::size_t at = s.find("VmSize:");
+        if (at == std::string::npos)
+            return -1L;
+        return std::atol(s.c_str() + at + 7);
+    };
+    auto ping = [&] {
+        TcpStream conn =
+            TcpStream::connectTo("127.0.0.1", static_cast<u16>(port_), 5000);
+        writeFrame(conn, "{\"op\":\"ping\"}", 5000);
+        std::string response;
+        return readFrame(conn, response, 5000);
+    };
+    for (int i = 0; i < 5; ++i) // warm the allocator's stack cache
+        ASSERT_TRUE(ping()) << slurp(log_);
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 50; ++i)
+        ASSERT_TRUE(ping()) << slurp(log_);
+    const long grownKb = vmSizeKb() - before;
+    EXPECT_LT(grownKb, 100L * 1024); // 50 leaked stacks: ~400 MiB
+    kill(pid_, SIGTERM);
+    EXPECT_EQ(reap(), 0) << slurp(log_);
 }
 
 TEST_F(FleetDaemonTest, HungWorkerIsKilledWithinTheDrainDeadline)

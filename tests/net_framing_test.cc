@@ -3,11 +3,12 @@
  * Transport + framing tests for util/net: frame round-trips over a
  * real loopback connection, malformed-frame rejection (bad magic,
  * oversize length, truncation mid-frame), clean-EOF detection at
- * frame boundaries, and deadline expiry.
+ * frame boundaries, deadline expiry, and the listener's wake.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,6 +164,33 @@ TEST(NetFraming, AcceptTimesOutWithoutAConnection)
     TcpListener listener(0);
     TcpStream conn = listener.acceptOne(50);
     EXPECT_FALSE(conn.valid());
+}
+
+TEST(NetFraming, WakeEndsABlockedAcceptWithoutADeadline)
+{
+    // acceptOne(0) has no deadline: only the wake can end it, so a
+    // lost wake hangs this test until ctest's timeout.
+    TcpListener listener(0);
+    std::thread waker([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        listener.wake();
+    });
+    TcpStream conn = listener.acceptOne(0);
+    waker.join();
+    EXPECT_FALSE(conn.valid());
+}
+
+TEST(NetFraming, WakeBeforeAcceptReturnsAtOnceThenAcceptsAgain)
+{
+    TcpListener listener(0);
+    listener.wake();
+    listener.wake(); // pending wakes collapse into one
+    EXPECT_FALSE(listener.acceptOne(0).valid());
+
+    // The wake is consumed: the listener still accepts connections.
+    TcpStream client =
+        TcpStream::connectTo("127.0.0.1", listener.port(), 2000);
+    EXPECT_TRUE(listener.acceptOne(0).valid());
 }
 
 TEST(NetFraming, ConnectToClosedPortFails)

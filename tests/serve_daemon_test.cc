@@ -229,6 +229,7 @@ class BusyStubServer
     ~BusyStubServer()
     {
         done_.store(true);
+        listener_.wake();
         thread_.join();
     }
 
@@ -240,7 +241,7 @@ class BusyStubServer
     serve()
     {
         while (!done_.load()) {
-            TcpStream conn = listener_.acceptOne(200);
+            TcpStream conn = listener_.acceptOne(0);
             if (!conn.valid())
                 continue;
             const int n = ++connections_;

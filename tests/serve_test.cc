@@ -451,8 +451,23 @@ TEST(ServeLoopTest, ShutdownRequestDrainsTheLoop)
     ASSERT_TRUE(readFrame(conn, payload, 5000));
     EXPECT_TRUE(responseOk(parseResponse(payload)));
 
-    server.join(); // run() must return on its own
+    server.join(); // run() must return on its own: the handler wakes it
     EXPECT_TRUE(service.shutdownRequested());
+}
+
+TEST(ServeLoopTest, RequestStopFromAnotherThreadEndsAnIdleLoop)
+{
+    // The accept loop waits without a timeout; requestStop() (the
+    // SIGTERM path) must wake it. A lost wake hangs until ctest's
+    // timeout.
+    ServeOptions opts = testOptions();
+    EvalService service(kSeeds, kScale, opts);
+    ServeLoop loop(service, opts);
+    std::thread server([&] { loop.run(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    loop.requestStop();
+    server.join();
+    EXPECT_FALSE(service.shutdownRequested());
 }
 
 TEST(ServeOptionsTest, EnvironmentFillsUnsetFields)

@@ -21,7 +21,9 @@
  *   --served PATH    worker binary (LVA_FLEET_SERVED)
  *                    [lva_served next to this binary]
  *   --workers, --queue, --deadline-ms, --retries, --jobs,
- *   --cache, --seeds, --scale: forwarded to every worker.
+ *   --cache, --seeds, --scale: checked against lva_served's ranges
+ *   (a bad value exits 2 before any worker is forked), then
+ *   forwarded to every worker.
  *
  * Supervision: a worker that dies (e.g. an LVA_FAULT abort) is
  * detected on the next request routed to it, respawned on a fresh
@@ -30,25 +32,17 @@
  * LVA_FAULT in a worker's *first* incarnation only ("<idx|*>:<spec>"),
  * so an injected kill cannot re-fire in the respawned process.
  *
- * SIGTERM / SIGINT / a `shutdown` request drain: stop accepting,
- * finish in-flight relays, shut every worker down, reap them with a
- * bounded wait (a wedged worker is SIGKILLed after a deadline rather
- * than hanging the drain), exit 0.
+ * SIGTERM / SIGINT / a `shutdown` request drain: wake the accept
+ * loop, finish in-flight relays, shut every worker down, reap each
+ * on its stdout pipe's EOF (a wedged worker is SIGKILLed after a
+ * deadline rather than hanging the drain), exit 0.
  */
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <mutex>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,13 +57,22 @@ using namespace lva;
 
 namespace {
 
-/** Signal flag: the accept loop polls it (one relaxed load per tick). */
+/**
+ * The frontend's listener, for the signal handler. A mutable global
+ * is the only channel into a signal handler; wake() is one write(2),
+ * so the handler stays async-signal-safe.
+ */
+TcpListener *g_listener = nullptr; // lva-lint: allow(no-mutable-global)
+
+/** Signal flag: the accept loop checks it after every wake. */
 std::atomic<bool> g_stop{false}; // lva-lint: allow(no-mutable-global)
 
 extern "C" void
 onStopSignal(int)
 {
     g_stop.store(true);
+    if (g_listener)
+        g_listener->wake();
 }
 
 struct Options
@@ -77,7 +80,7 @@ struct Options
     u32 fleet = 0;       ///< worker count (0 = LVA_FLEET_SIZE, then 2)
     u16 port = 0;        ///< frontend port (0 = ephemeral)
     std::string served;  ///< worker binary path
-    /** Flags forwarded verbatim to every worker. */
+    /** Flags forwarded verbatim to every worker, validated here. */
     std::vector<std::string> passThrough;
 };
 
@@ -111,6 +114,7 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return *v;
     };
+    fleet::ServedFlags worker;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fleet") {
@@ -119,14 +123,13 @@ parse(int argc, char **argv)
             opt.port = static_cast<u16>(count(i, 0, 65535));
         } else if (arg == "--served") {
             opt.served = need(i);
-        } else if (arg == "--workers" || arg == "--queue" ||
-                   arg == "--deadline-ms" || arg == "--retries" ||
-                   arg == "--jobs" || arg == "--cache" ||
-                   arg == "--seeds" || arg == "--scale") {
-            opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(need(i));
         } else {
-            usage(argv[0]);
+            // A worker flag, forwarded once it checks out.
+            const char *value = need(i);
+            if (!fleet::applyServedFlag(arg, value, worker))
+                usage(argv[0]);
+            opt.passThrough.push_back(arg);
+            opt.passThrough.push_back(value);
         }
     }
     if (opt.fleet == 0)
@@ -136,188 +139,78 @@ parse(int argc, char **argv)
     return opt;
 }
 
-using fleet::Worker;
+/** Per-frame deadline on a relayed connection and its worker. */
+constexpr u64 kRelayTimeoutMs = 600000;
 
-/** The supervised fleet: spawn, route, respawn, drain. */
-class Fleet
+/**
+ * Forward @p request to the worker owning @p shard and return the
+ * response verbatim. A worker found dead is respawned and the
+ * request retried there — bounded, so a permanently broken worker
+ * binary still fails loudly.
+ */
+std::string
+forward(fleet::Supervisor &workers, u32 shard, const std::string &request)
 {
-  public:
-    explicit Fleet(const Options &opt) : opt_(opt), workers_(opt.fleet) {}
-
-    ~Fleet()
-    {
-        for (Worker &w : workers_) {
-            if (w.pipeFd >= 0)
-                ::close(w.pipeFd);
+    std::string lastError;
+    for (u32 attempt = 0; attempt < 10; ++attempt) {
+        const u16 port = workers.pick({shard}).port;
+        try {
+            return fleet::roundTrip(port, request, kRelayTimeoutMs);
+        } catch (const NetError &e) {
+            lastError = e.what();
         }
+        workers.noteFailure(shard);
     }
-
-    void
-    spawnAll()
-    {
-        for (u32 i = 0; i < workers_.size(); ++i)
-            spawn(i);
-    }
-
-    /**
-     * Forward @p request to the worker owning @p shard and return the
-     * response verbatim. Detects a dead worker (connect refused +
-     * waitpid says exited), respawns it, and retries there — bounded,
-     * so a permanently broken worker binary still fails loudly.
-     */
-    std::string
-    forward(u32 shard, const std::string &request, u64 timeoutMs)
-    {
-        std::string lastError;
-        for (u32 attempt = 0; attempt < 10; ++attempt) {
-            u16 port;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                reapAndRespawnLocked(shard);
-                port = workers_[shard].port;
-            }
-            try {
-                TcpStream conn =
-                    TcpStream::connectTo("127.0.0.1", port, timeoutMs);
-                writeFrame(conn, request, timeoutMs);
-                std::string response;
-                if (readFrame(conn, response, timeoutMs))
-                    return response;
-                lastError = "worker closed without a response";
-            } catch (const NetError &e) {
-                lastError = e.what();
-            }
-            // Either the worker died mid-request (respawned on the
-            // next iteration) or it is still booting; a short fixed
-            // pause keeps the retry loop polite and deterministic.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-        }
-        throw NetError("worker " + std::to_string(shard) +
-                       " unreachable: " + lastError);
-    }
-
-    /** Send @p request to every worker; returns the last response. */
-    std::string
-    broadcast(const std::string &request, u64 timeoutMs)
-    {
-        std::string response;
-        for (u32 i = 0; i < workers_.size(); ++i) {
-            try {
-                response = forward(i, request, timeoutMs);
-            } catch (const std::exception &e) {
-                lva_warn("fleet: broadcast to worker %u: %s", i,
-                         e.what());
-            }
-        }
-        return response;
-    }
-
-    /**
-     * Drain every worker: one best-effort shutdown frame each (when
-     * @p sendShutdown; a wedged worker just times the frame out),
-     * then a bounded reap that escalates to SIGKILL after
-     * @p reapDeadlineMs — so SIGTERM drain always terminates even
-     * with a hung worker.
-     */
-    void
-    drainAll(bool sendShutdown, u64 frameTimeoutMs, u64 reapDeadlineMs)
-    {
-        if (sendShutdown) {
-            const std::string req = "{\"schema\":\"lva-rpc-v1\","
-                                    "\"op\":\"shutdown\"}";
-            for (u32 i = 0; i < workers_.size(); ++i) {
-                Worker &w = workers_[i];
-                if (w.pid <= 0)
-                    continue;
-                try {
-                    TcpStream conn = TcpStream::connectTo(
-                        "127.0.0.1", w.port, frameTimeoutMs);
-                    writeFrame(conn, req, frameTimeoutMs);
-                    std::string response;
-                    readFrame(conn, response, frameTimeoutMs);
-                } catch (const std::exception &e) {
-                    // Dead or wedged either way; the bounded reap
-                    // below settles it.
-                    lva_warn("fleet: shutdown frame to worker %u: %s",
-                             i, e.what());
-                }
-            }
-        }
-        for (u32 i = 0; i < workers_.size(); ++i) {
-            Worker &w = workers_[i];
-            if (w.pid <= 0)
-                continue;
-            fleet::reapBounded(w.pid, reapDeadlineMs,
-                               "fleet: worker " + std::to_string(i) +
-                                   " (pid " +
-                                   std::to_string(w.pid) + ")");
-            w.pid = -1;
-        }
-    }
-
-    u32 size() const { return static_cast<u32>(workers_.size()); }
-
-  private:
-    /** Spawn worker @p index via the shared fleet helper. */
-    void
-    spawn(u32 index)
-    {
-        fleet::spawnWorker(opt_.served, opt_.passThrough, index,
-                           workers_[index], "lva_fleet");
-    }
-
-    /** If worker @p index exited, log and respawn it. Lock held. */
-    void
-    reapAndRespawnLocked(u32 index)
-    {
-        Worker &w = workers_[index];
-        if (w.pid <= 0)
-            return;
-        int st = 0;
-        if (::waitpid(w.pid, &st, WNOHANG) == w.pid) {
-            lva_warn("fleet: worker %u (pid %d) exited with status "
-                     "%d; respawning",
-                     index, static_cast<int>(w.pid),
-                     WIFEXITED(st) ? WEXITSTATUS(st) : -WTERMSIG(st));
-            w.pid = -1;
-            spawn(index);
-        }
-    }
-
-    Options opt_;
-    std::mutex mutex_; ///< guards the worker table across relays
-    std::vector<Worker> workers_;
-};
+    throw NetError("worker " + std::to_string(shard) +
+                   " unreachable: " + lastError);
+}
 
 /** Relay every frame on @p conn to its routed worker. */
 void
-serveConnection(Fleet &fleet, TcpStream conn, u64 timeoutMs,
-                std::atomic<bool> &shutdownSeen)
+serveConnection(fleet::Supervisor &workers, TcpListener &listener,
+                TcpStream conn, std::atomic<bool> &shutdownSeen)
 {
     try {
         std::string request;
-        while (readFrame(conn, request, timeoutMs)) {
+        while (readFrame(conn, request, kRelayTimeoutMs)) {
             const std::string key = fleetRouteKey(request);
             std::string response;
             if (key == "op:shutdown") {
-                response = fleet.broadcast(request, timeoutMs);
+                // Broadcast; the client gets the last worker's reply.
+                for (u32 i = 0; i < workers.size(); ++i) {
+                    try {
+                        response = forward(workers, i, request);
+                    } catch (const std::exception &e) {
+                        lva_warn("lva_fleet: shutdown to worker %u: %s", i,
+                                 e.what());
+                    }
+                }
                 if (response.empty())
                     response = busyResponse();
                 shutdownSeen.store(true);
                 g_stop.store(true);
+                listener.wake();
             } else {
-                response = fleet.forward(
-                    fleetShard(key, fleet.size()), request, timeoutMs);
+                response = forward(
+                    workers, fleetShard(key, workers.size()), request);
             }
-            writeFrame(conn, response, timeoutMs);
+            writeFrame(conn, response, kRelayTimeoutMs);
             if (g_stop.load())
                 break;
         }
     } catch (const std::exception &e) {
-        lva_warn("fleet: connection: %s", e.what());
+        lva_warn("lva_fleet: connection: %s", e.what());
     }
 }
+
+/** One relay thread and the connection it serves; the thread sets
+ *  `done` as its last act. */
+struct Relay
+{
+    TcpStream conn;
+    std::thread thread;
+    std::atomic<bool> done{false};
+};
 
 } // namespace
 
@@ -332,47 +225,58 @@ main(int argc, char **argv)
     sigaction(SIGINT, &sa, nullptr);
     ::signal(SIGPIPE, SIG_IGN);
 
-    Fleet fleet(opt);
-    fleet.spawnAll();
+    fleet::Supervisor workers(opt.served, opt.passThrough, opt.fleet,
+                              "lva_fleet");
+    workers.spawnAll();
 
     TcpListener listener(opt.port);
+    g_listener = &listener;
 
     // Scripts parse this line for the (possibly ephemeral) port, so
     // it must land before the accept loop starts; same contract as
     // lva_served.
     std::printf("lva_fleet: listening on 127.0.0.1:%u (fleet=%u)\n",
-                static_cast<unsigned>(listener.port()), fleet.size());
+                static_cast<unsigned>(listener.port()), workers.size());
     std::fflush(stdout);
 
-    const u64 kRelayTimeoutMs = 600000;
     std::atomic<bool> shutdownSeen{false};
-    std::vector<std::thread> relays;
+    std::list<Relay> relays;
     while (!g_stop.load()) {
         TcpStream conn;
         try {
-            // Short poll so stop signals are observed promptly.
-            conn = listener.acceptOne(200);
+            conn = listener.acceptOne(0); // until a connection or wake
         } catch (const std::exception &e) {
-            lva_warn("fleet: accept: %s", e.what());
+            lva_warn("lva_fleet: accept: %s", e.what());
             continue;
         }
+        // Join finished relays as connections arrive, so a long-lived
+        // fleet does not keep a thread stack per connection it served.
+        relays.remove_if([](Relay &r) {
+            const bool done = r.done.load();
+            if (done)
+                r.thread.join();
+            return done;
+        });
         if (!conn.valid())
-            continue;
-        relays.emplace_back([&fleet, &shutdownSeen,
-                             c = std::move(conn)]() mutable {
-            serveConnection(fleet, std::move(c), kRelayTimeoutMs,
+            continue; // woken: re-check the stop flag
+        Relay &relay = relays.emplace_back();
+        relay.conn = std::move(conn);
+        relay.thread = std::thread([&, r = &relay] {
+            serveConnection(workers, listener, std::move(r->conn),
                             shutdownSeen);
+            r->done.store(true);
         });
     }
 
-    for (std::thread &t : relays)
-        t.join();
+    for (Relay &relay : relays)
+        relay.thread.join();
+    g_listener = nullptr;
 
     // Drain the workers: a relayed `shutdown` already reached them
     // all; a signal-initiated stop still owes them the frame. Either
     // way the reap is bounded, so a wedged worker is SIGKILLed
     // instead of hanging the drain.
-    fleet.drainAll(!shutdownSeen.load(), 2000, 2000);
+    workers.drainAll(!shutdownSeen.load());
 
     std::printf("lva_fleet: drained, exiting\n");
     return 0;

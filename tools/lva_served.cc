@@ -37,6 +37,7 @@
 #include <string>
 
 #include "eval/service.hh"
+#include "fleet_common.hh"
 #include "util/env_knob.hh"
 #include "util/logging.hh"
 
@@ -47,7 +48,8 @@ namespace {
 /**
  * The loop the signal handler must reach. A mutable global is the
  * only channel into a signal handler; requestStop() is one lock-free
- * atomic store, so the handler stays async-signal-safe.
+ * atomic store and one write(2), so the handler stays
+ * async-signal-safe.
  */
 ServeLoop *g_loop = nullptr; // lva-lint: allow(no-mutable-global)
 
@@ -57,13 +59,6 @@ onStopSignal(int)
     if (g_loop)
         g_loop->requestStop();
 }
-
-struct Options
-{
-    ServeOptions serve;
-    u32 seeds = 0;
-    double scale = 0.0;
-};
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -76,44 +71,25 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-Options
+/** The flag parse is shared with the fleet frontends, which check
+ *  what they forward to workers the same way. */
+fleet::ServedFlags
 parse(int argc, char **argv)
 {
-    Options opt;
+    fleet::ServedFlags opt;
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage(argv[0]);
         return argv[++i];
     };
-    auto orUsage = [&](auto v) {
-        if (!v)
-            usage(argv[0]);
-        return *v;
-    };
-    auto count = [&](int &i, u64 lo, u64 hi) {
-        return orUsage(parseU64(need(i), lo, hi));
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port") {
-            opt.serve.port = static_cast<u16>(count(i, 0, 65535));
-        } else if (arg == "--workers") {
-            opt.serve.workers = static_cast<u32>(count(i, 0, 256));
-        } else if (arg == "--queue") {
-            opt.serve.queueCap = static_cast<u32>(count(i, 0, 1000000));
-        } else if (arg == "--deadline-ms") {
-            opt.serve.deadlineMs = count(i, 0, 86400000);
-        } else if (arg == "--retries") {
-            opt.serve.maxAttempts = static_cast<u32>(count(i, 0, 99)) + 1;
-        } else if (arg == "--jobs") {
-            opt.serve.jobs = static_cast<u32>(count(i, 0, 256));
-        } else if (arg == "--cache") {
-            opt.serve.cacheCap = count(i, 0, 1000000);
-        } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(count(i, 0, 64));
-        } else if (arg == "--scale") {
-            opt.scale = orUsage(parseF64(need(i), 0.0, 4.0));
-        } else {
+            const std::optional<u64> port = parseU64(need(i), 0, 65535);
+            if (!port)
+                usage(argv[0]);
+            opt.serve.port = static_cast<u16>(*port);
+        } else if (!fleet::applyServedFlag(arg, need(i), opt)) {
             usage(argv[0]);
         }
     }
@@ -125,7 +101,7 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const Options opt = parse(argc, argv);
+    const fleet::ServedFlags opt = parse(argc, argv);
 
     EvalService service(opt.seeds, opt.scale, opt.serve);
     ServeLoop loop(service, opt.serve);

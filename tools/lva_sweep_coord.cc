@@ -28,7 +28,9 @@
  *                    [600000]
  *   --print-stats    dump the coord.* snapshot to stderr at exit
  *   --workers, --queue, --deadline-ms, --retries, --jobs,
- *   --cache, --seeds, --scale: forwarded to every worker.
+ *   --cache, --seeds, --scale: checked against lva_served's ranges
+ *   (a bad value exits 2 before any worker is forked), then
+ *   forwarded to every worker.
  *
  * Durability: every completed shard is appended (EINTR-safe, fsync'd)
  * to the manifest at "<resultsDir>/checkpoints/<driver>.coord.jsonl",
@@ -37,13 +39,15 @@
  * coordinator rerun with --resume re-runs only unfinished shards.
  *
  * Supervision: shard -> worker placement is the rendezvous rank of
- * the shard's route key (coordWorkerRank). A worker that dies
- * mid-shard (e.g. an LVA_FLEET_FAULT abort) is detected by waitpid
- * and the shard is *stolen* to the next-ranked live worker; when
- * every worker is dead, the dead ones are respawned (respawns never
- * inherit the first-incarnation fault). Teardown sends each worker a
- * shutdown frame and reaps it with the shared bounded helper —
- * SIGKILL after a deadline, never an unbounded hang.
+ * the shard's route key, spread so that no worker leads a second
+ * shard while another leads none (coordShardRanks). A worker that
+ * dies mid-shard (e.g. an LVA_FLEET_FAULT abort) is detected by its
+ * hung-up stdout pipe and the shard is *stolen* to the next-ranked
+ * live worker; when every worker is dead, the dead ones are
+ * respawned (respawns never inherit the first-incarnation fault).
+ * Teardown sends each worker a shutdown frame and reaps it on its
+ * pipe's EOF with the shared fleet::Supervisor — SIGKILL after a
+ * deadline, never an unbounded hang.
  *
  * Fault sites (LVA_FAULT grammar): "coord.scatter.<shard>" before a
  * shard request is sent, "coord.gather.<shard>" after its response
@@ -54,15 +58,9 @@
  * 3 merged export contains point failures; 53 injected abort.
  */
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -99,13 +97,14 @@ struct Options
     bool resume = false;
     bool printStats = false;
     u64 timeoutMs = 0;      ///< per-shard RPC deadline
-    u32 seeds = 0;          ///< for the manifest context key
-    double scale = 0.0;     ///< for the manifest context key
+    /** Worker flags, parsed as lva_served would; seeds and scale
+     *  also feed the manifest context key. */
+    fleet::ServedFlags worker;
     /** Machine topology (--machine/LVA_MACHINE); null = Table II.
      *  Embedded in every scatter request so all workers simulate the
      *  same CMP, and folded into the manifest context key. */
     std::shared_ptr<const MachineConfig> machine;
-    /** Flags forwarded verbatim to every worker. */
+    /** Flags forwarded verbatim to every worker, validated here. */
     std::vector<std::string> passThrough;
 };
 
@@ -141,13 +140,11 @@ parse(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
-    auto orUsage = [&](auto v) {
+    auto count = [&](int &i, u64 lo, u64 hi) {
+        const std::optional<u64> v = parseU64(need(i), lo, hi);
         if (!v)
             usage(argv[0]);
         return *v;
-    };
-    auto count = [&](int &i, u64 lo, u64 hi) {
-        return orUsage(parseU64(need(i), lo, hi));
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -171,21 +168,13 @@ parse(int argc, char **argv)
             opt.printStats = true;
         } else if (arg == "--timeout-ms") {
             opt.timeoutMs = count(i, 1, 86400000);
-        } else if (arg == "--seeds") {
-            opt.seeds = static_cast<u32>(count(i, 0, 64));
-            opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(argv[i]);
-        } else if (arg == "--scale") {
-            opt.scale = orUsage(parseF64(need(i), 0.0, 4.0));
-            opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(argv[i]);
-        } else if (arg == "--workers" || arg == "--queue" ||
-                   arg == "--deadline-ms" || arg == "--retries" ||
-                   arg == "--jobs" || arg == "--cache") {
-            opt.passThrough.push_back(arg);
-            opt.passThrough.push_back(need(i));
         } else {
-            usage(argv[0]);
+            // A worker flag, forwarded once it checks out.
+            const char *value = need(i);
+            if (!fleet::applyServedFlag(arg, value, opt.worker))
+                usage(argv[0]);
+            opt.passThrough.push_back(arg);
+            opt.passThrough.push_back(value);
         }
     }
     if (opt.driver.empty() || opt.pointsFile.empty())
@@ -257,148 +246,27 @@ renderJson(const JsonValue &v)
     return "null"; // unreachable
 }
 
-/** The worker fleet shared by the scatter threads. */
-class CoordFleet
-{
-  public:
-    CoordFleet(const Options &opt, CoordStats &stats)
-        : opt_(opt), stats_(stats), workers_(opt.fleet)
-    {
-    }
-
-    ~CoordFleet()
-    {
-        for (fleet::Worker &w : workers_) {
-            if (w.pipeFd >= 0)
-                ::close(w.pipeFd);
-        }
-    }
-
-    void
-    spawnAll()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (u32 i = 0; i < workers_.size(); ++i)
-            fleet::spawnWorker(opt_.served, opt_.passThrough, i,
-                               workers_[i], "lva_sweep_coord");
-    }
-
-    u32 size() const { return static_cast<u32>(workers_.size()); }
-
-    /**
-     * The preferred live worker for @p rank: the first ranked entry
-     * whose process is alive; when every worker is dead, the dead
-     * ones are respawned (without the first-incarnation fault) and
-     * the top-ranked one is returned. Returns (index, port).
-     */
-    std::pair<u32, u16>
-    pickWorker(const std::vector<u32> &rank)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const u32 r : rank) {
-            if (workers_[r].pid > 0)
-                return {r, workers_[r].port};
-        }
-        for (u32 i = 0; i < workers_.size(); ++i) {
-            if (workers_[i].pid > 0)
-                continue;
-            fleet::spawnWorker(opt_.served, opt_.passThrough, i,
-                               workers_[i], "lva_sweep_coord");
-            stats_.onRespawn();
-        }
-        return {rank[0], workers_[rank[0]].port};
-    }
-
-    /**
-     * After a failed exchange with worker @p index: reap it if it
-     * exited (so the next pick steals the shard elsewhere). Returns
-     * true when the worker was found dead.
-     */
-    bool
-    noteFailure(u32 index)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fleet::Worker &w = workers_[index];
-        if (w.pid <= 0)
-            return true; // another shard already reaped it
-        int st = 0;
-        if (::waitpid(w.pid, &st, WNOHANG) == w.pid) {
-            lva_warn("lva_sweep_coord: worker %u (pid %d) exited "
-                     "with status %d",
-                     index, static_cast<int>(w.pid),
-                     WIFEXITED(st) ? WEXITSTATUS(st) : -WTERMSIG(st));
-            w.pid = -1;
-            return true;
-        }
-        return false;
-    }
-
-    /**
-     * Teardown: one best-effort shutdown frame per live worker, then
-     * the shared bounded reap — a wedged worker is SIGKILLed after
-     * the deadline instead of hanging the exit.
-     */
-    void
-    drainAll(u64 frameTimeoutMs, u64 reapDeadlineMs)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::string req = "{\"schema\":\"lva-rpc-v1\","
-                                "\"op\":\"shutdown\"}";
-        for (u32 i = 0; i < workers_.size(); ++i) {
-            fleet::Worker &w = workers_[i];
-            if (w.pid <= 0)
-                continue;
-            try {
-                TcpStream conn = TcpStream::connectTo(
-                    "127.0.0.1", w.port, frameTimeoutMs);
-                writeFrame(conn, req, frameTimeoutMs);
-                std::string response;
-                readFrame(conn, response, frameTimeoutMs);
-            } catch (const std::exception &e) {
-                lva_warn("lva_sweep_coord: shutdown frame to worker "
-                         "%u: %s",
-                         i, e.what());
-            }
-        }
-        for (u32 i = 0; i < workers_.size(); ++i) {
-            fleet::Worker &w = workers_[i];
-            if (w.pid <= 0)
-                continue;
-            fleet::reapBounded(w.pid, reapDeadlineMs,
-                               "lva_sweep_coord: worker " +
-                                   std::to_string(i) + " (pid " +
-                                   std::to_string(w.pid) + ")");
-            w.pid = -1;
-        }
-    }
-
-  private:
-    Options opt_;
-    CoordStats &stats_;
-    std::mutex mutex_; ///< guards the worker table across shards
-    std::vector<fleet::Worker> workers_;
-};
-
 /**
- * Scatter one shard: rendezvous-pick a worker, send the shard's
- * sweep request, validate the detailed response, hit the gather
- * fault site, and durably record the shard. Steals the shard to the
- * next-ranked live worker when the current one dies mid-request.
+ * Scatter one shard: pick the first live worker in @p rank, send the
+ * shard's sweep request, validate the detailed response, hit the
+ * gather fault site, and durably record the shard. Steals the shard
+ * to the next-ranked live worker when the current one dies
+ * mid-request.
  */
 ShardRecord
-runShard(const Options &opt, CoordFleet &workers, CoordStats &stats,
-         const ShardPlan &plan, u32 shard, const std::string &request,
+runShard(const Options &opt, fleet::Supervisor &workers, CoordStats &stats,
+         const std::vector<u32> &rank, u32 shard, const std::string &request,
          std::size_t pointCount, CheckpointManifest &manifest,
          const std::string &digest)
 {
     faultPoint("coord.scatter." + std::to_string(shard));
 
-    const std::vector<u32> rank =
-        coordWorkerRank(plan.keys[shard], workers.size());
     std::string lastError;
     int lastWorker = -1;
     for (u32 attempt = 0; attempt < 10; ++attempt) {
-        const auto [index, port] = workers.pickWorker(rank);
+        const auto [index, port, respawned] = workers.pick(rank);
+        for (u32 r = 0; r < respawned; ++r)
+            stats.onRespawn();
         if (lastWorker >= 0 && static_cast<u32>(index) !=
                                    static_cast<u32>(lastWorker)) {
             stats.onStolen();
@@ -409,12 +277,8 @@ runShard(const Options &opt, CoordFleet &workers, CoordStats &stats,
         lastWorker = static_cast<int>(index);
         try {
             stats.onScatter();
-            TcpStream conn = TcpStream::connectTo("127.0.0.1", port,
-                                                  opt.timeoutMs);
-            writeFrame(conn, request, opt.timeoutMs);
-            std::string response;
-            if (!readFrame(conn, response, opt.timeoutMs))
-                throw NetError("worker closed without a response");
+            const std::string response =
+                fleet::roundTrip(port, request, opt.timeoutMs);
             ShardRecord record = shardRecordFromResponse(
                 parseJson(response), shard, pointCount);
             faultPoint("coord.gather." + std::to_string(shard));
@@ -425,12 +289,7 @@ runShard(const Options &opt, CoordFleet &workers, CoordStats &stats,
             throw; // an injected coordinator fault is not retryable
         } catch (const std::exception &e) {
             lastError = e.what();
-            if (!workers.noteFailure(index)) {
-                // The worker is alive; the exchange itself failed
-                // (deadline, malformed response). Brief pause, retry.
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(100));
-            }
+            workers.noteFailure(index);
         }
     }
     throw std::runtime_error("shard " + std::to_string(shard) +
@@ -487,7 +346,7 @@ main(int argc, char **argv)
     // The context key binds the manifest to everything that would
     // invalidate a recorded shard: seeds, scale, export schema, and
     // the shard plan itself.
-    const Evaluator eval(opt.seeds, opt.scale);
+    const Evaluator eval(opt.worker.seeds, opt.worker.scale);
     std::string context = coordContextKey(eval, opt.shards);
     // Same machine-binding rule as sweepContextKey(eval, opts): a
     // manifest written under one topology is never resumed under
@@ -529,8 +388,11 @@ main(int argc, char **argv)
                        records.size(), manifest.path().c_str());
     }
 
-    CoordFleet workers(opt, stats);
+    fleet::Supervisor workers(opt.served, opt.passThrough, opt.fleet,
+                              "lva_sweep_coord");
     workers.spawnAll();
+    const std::vector<std::vector<u32>> ranks =
+        coordShardRanks(plan, workers.size());
 
     // Scatter every remaining shard concurrently — one thread per
     // non-empty shard; results land keyed by global point index, so
@@ -558,7 +420,7 @@ main(int argc, char **argv)
         scatter.emplace_back([&, s, request] {
             try {
                 ShardRecord record = runShard(
-                    opt, workers, stats, plan, s, request,
+                    opt, workers, stats, ranks[s], s, request,
                     plan.members[s].size(), manifest, digests[s]);
                 std::lock_guard<std::mutex> lock(recordsMutex);
                 records.push_back(std::move(record));
@@ -572,7 +434,7 @@ main(int argc, char **argv)
     for (std::thread &t : scatter)
         t.join();
 
-    workers.drainAll(2000, 2000);
+    workers.drainAll(/*sendShutdown=*/true);
 
     if (!shardErrors.empty()) {
         for (const std::string &e : shardErrors)
